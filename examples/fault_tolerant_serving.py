@@ -11,7 +11,8 @@ Five extensions beyond the paper, built on its runtime:
    most one deadline per inference — never one timeout per peer.
 2. **Automatic recovery** — restart the killed worker on the same port
    and watch the master reconnect (capped exponential backoff, starting
-   at ``reconnect_backoff`` seconds) and fold it back into the team,
+   at ``ResilienceConfig(reset_timeout=...)`` seconds) and fold it back
+   into the team,
    without redeploying anything.
 3. **Expert failover via redeployment** — training checkpoints the full
    team into a durable :class:`repro.store.CheckpointStore`; when a
@@ -69,8 +70,8 @@ def main() -> None:
           "worker ...")
     master, workers = deploy_local_team(
         team.experts, degrade_on_failure=True, reply_timeout=2.0,
-        reconnect_backoff=0.1, reconnect_backoff_max=1.0,
-        resilience=ResilienceConfig(failure_threshold=2))
+        resilience=ResilienceConfig(failure_threshold=2, reset_timeout=0.1,
+                                    reset_timeout_max=1.0))
     master.store = store  # arm redeploy with the checkpointed experts
     standby = None
     try:

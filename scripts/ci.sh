@@ -67,6 +67,13 @@
 #       OVERLOAD_REPRO_DIR (default .testkit-repro/).  Then the goodput
 #       bench, writing both runs' per-phase trajectories to
 #       BENCH_overload.json (path override: OVERLOAD_BENCH_JSON).
+#   scripts/ci.sh --bench                    # request-path benchmark
+#       harness gate: the bench package's own unit tests
+#       (python -m pytest bench/tests -q), then one smoke run of all five
+#       BENCHMARK.json workloads against the real runtime
+#       (python3 -m bench run --smoke) — every answer checked against
+#       TeamInference, so a broken request path fails here even when no
+#       number is being compared.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -75,136 +82,80 @@ SUITE_TIMEOUT="${SUITE_TIMEOUT:-1800}"
 
 export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 
-if [[ "${1:-}" == "--testkit" ]]; then
-    shift
-    export TESTKIT_REPRO_DIR="${TESTKIT_REPRO_DIR:-.testkit-repro}"
-    for seed in ${TESTKIT_SEEDS:-0 1 2}; do
-        echo "=== testkit sweep: TESTKIT_SEED=$seed ==="
-        TESTKIT_SEED="$seed" \
-            timeout --signal=INT "$SUITE_TIMEOUT" \
-            python -m pytest -x -q tests/testkit \
-            --per-test-timeout="$PER_TEST_TIMEOUT" "$@"
-    done
-    exit 0
-fi
+# One row per mode: a seeded sweep over test paths, then an optional
+# follow-up command.  Columns, '|'-separated:
+#   sweep label | PREFIX | default seeds | default repro dir |
+#   default rounds | test paths | follow-up label |
+#   follow-up "VAR=default" exports | follow-up
+# PREFIX names the knobs: the sweep runs once per seed in ${PREFIX}_SEEDS
+# with ${PREFIX}_SEED exported, ${PREFIX}_ROUNDS rounds each, failing
+# rounds leaving repro artifacts in ${PREFIX}_REPRO_DIR.  A row without a
+# PREFIX runs its test paths once, unseeded.  A follow-up under
+# benchmarks/ is one pytest file run with its output shown (extra
+# arguments are pytest's, so it gets them too); anything else is a
+# command run as written.
+declare -A MODES=(
+    [--testkit]="testkit sweep|TESTKIT|0 1 2|.testkit-repro||tests/testkit|||"
+    [--chaos]="chaos soak|CHAOS|0 1 2 3|.chaos-repro|60|tests/testkit/test_chaos.py|||"
+    [--serve]="||||||serving bench: >= 5x the synchronous request rate|SERVE_BENCH_DURATION=1.0 SERVE_BENCH_JSON=BENCH_throughput.json|benchmarks/test_bench_serving.py"
+    [--fastpath]="fast-path differential|TESTKIT|0 1 2|.testkit-repro||tests/nn/test_executor_differential.py tests/testkit/test_serving_differential.py|fast-path bench: >= 3x compiled/int8 over tape|FASTPATH_BENCH_JSON=BENCH_fastpath.json|benchmarks/test_bench_fastpath.py"
+    [--crash]="crash soak|CRASH|0 1 2 3|.crash-repro|25|tests/testkit/test_crash.py|||"
+    [--failover]="failover soak|FAILOVER|0 1 2|.testkit-repro|10|tests/testkit/test_failover.py|failover bench: recovery within the lease budget|FAILOVER_BENCH_JSON=BENCH_failover.json|benchmarks/test_bench_failover.py"
+    [--integrity]="integrity soak|INTEGRITY|0 1 2|.testkit-repro|8|tests/testkit/test_integrity.py tests/distributed/test_integrity.py|integrity bench: detection within the probe budget|INTEGRITY_BENCH_JSON=BENCH_integrity.json|benchmarks/test_bench_integrity.py"
+    [--overload]="overload soak|OVERLOAD|0 1 2|.testkit-repro|3|tests/testkit/test_overload.py tests/distributed/test_overload.py|overload bench: goodput floor under a 10x burst|OVERLOAD_BENCH_JSON=BENCH_overload.json|benchmarks/test_bench_overload.py"
+    [--bench]="bench harness unit tests|||||bench/tests|bench smoke: all five workloads once, answers checked||python3 -m bench run --smoke"
+)
 
-if [[ "${1:-}" == "--chaos" ]]; then
+run_mode() {
+    local label prefix seeds repro rounds paths then_label then_env then_cmd
+    IFS='|' read -r label prefix seeds repro rounds paths \
+        then_label then_env then_cmd <<<"$1"
     shift
-    export CHAOS_REPRO_DIR="${CHAOS_REPRO_DIR:-.chaos-repro}"
-    export CHAOS_ROUNDS="${CHAOS_ROUNDS:-60}"
-    for seed in ${CHAOS_SEEDS:-0 1 2 3}; do
-        echo "=== chaos soak: CHAOS_SEED=$seed (CHAOS_ROUNDS=$CHAOS_ROUNDS) ==="
-        CHAOS_SEED="$seed" \
+    if [[ -n "$prefix" ]]; then
+        local seeds_var="${prefix}_SEEDS" repro_var="${prefix}_REPRO_DIR"
+        local rounds_var="${prefix}_ROUNDS" note=""
+        export "$repro_var=${!repro_var:-$repro}"
+        if [[ -n "$rounds" ]]; then
+            export "$rounds_var=${!rounds_var:-$rounds}"
+            note=" ($rounds_var=${!rounds_var})"
+        fi
+        for seed in ${!seeds_var:-$seeds}; do
+            echo "=== $label: ${prefix}_SEED=$seed$note ==="
+            # shellcheck disable=SC2086  # $paths is a word list
+            env "${prefix}_SEED=$seed" \
+                timeout --signal=INT "$SUITE_TIMEOUT" \
+                python -m pytest -x -q $paths \
+                --per-test-timeout="$PER_TEST_TIMEOUT" "$@"
+        done
+    elif [[ -n "$paths" ]]; then
+        echo "=== $label ==="
+        # shellcheck disable=SC2086
+        timeout --signal=INT "$SUITE_TIMEOUT" python -m pytest $paths -q "$@"
+    fi
+    if [[ -n "$then_cmd" ]]; then
+        local pair name shown=""
+        for pair in $then_env; do
+            name="${pair%%=*}"
+            export "$name=${!name:-${pair#*=}}"
+            shown+=" $name=${!name}"
+        done
+        echo "=== $then_label${shown:+ (${shown# })} ==="
+        # --per-test-timeout lives in tests/conftest.py and is not loaded
+        # outside the tests tree; the outer timeout is the hang backstop.
+        if [[ "$then_cmd" == benchmarks/* ]]; then
             timeout --signal=INT "$SUITE_TIMEOUT" \
-            python -m pytest -x -q tests/testkit/test_chaos.py \
-            --per-test-timeout="$PER_TEST_TIMEOUT" "$@"
-    done
-    exit 0
-fi
+                python -m pytest -x -q -s "$then_cmd" -p no:cacheprovider "$@"
+        else
+            # shellcheck disable=SC2086  # a command line, word-split
+            timeout --signal=INT "$SUITE_TIMEOUT" $then_cmd
+        fi
+    fi
+}
 
-if [[ "${1:-}" == "--serve" ]]; then
+if [[ -n "${1:-}" && -n "${MODES[$1]:-}" ]]; then
+    row="${MODES[$1]}"
     shift
-    export SERVE_BENCH_DURATION="${SERVE_BENCH_DURATION:-1.0}"
-    export SERVE_BENCH_JSON="${SERVE_BENCH_JSON:-BENCH_throughput.json}"
-    echo "=== serving bench: ${SERVE_BENCH_DURATION}s per offered rate ==="
-    # --per-test-timeout lives in tests/conftest.py and is not loaded for
-    # the benchmarks tree; the outer timeout is the hang backstop here.
-    timeout --signal=INT "$SUITE_TIMEOUT" \
-        python -m pytest -x -q -s benchmarks/test_bench_serving.py \
-        -p no:cacheprovider "$@"
-    exit 0
-fi
-
-if [[ "${1:-}" == "--fastpath" ]]; then
-    shift
-    export TESTKIT_REPRO_DIR="${TESTKIT_REPRO_DIR:-.testkit-repro}"
-    for seed in ${TESTKIT_SEEDS:-0 1 2}; do
-        echo "=== fast-path differential: TESTKIT_SEED=$seed ==="
-        TESTKIT_SEED="$seed" \
-            timeout --signal=INT "$SUITE_TIMEOUT" \
-            python -m pytest -x -q \
-            tests/nn/test_executor_differential.py \
-            tests/testkit/test_serving_differential.py \
-            --per-test-timeout="$PER_TEST_TIMEOUT" "$@"
-    done
-    export FASTPATH_BENCH_JSON="${FASTPATH_BENCH_JSON:-BENCH_fastpath.json}"
-    echo "=== fast-path bench: >= 3x compiled/int8 over tape ==="
-    timeout --signal=INT "$SUITE_TIMEOUT" \
-        python -m pytest -x -q -s benchmarks/test_bench_fastpath.py \
-        -p no:cacheprovider "$@"
-    exit 0
-fi
-
-if [[ "${1:-}" == "--crash" ]]; then
-    shift
-    export CRASH_REPRO_DIR="${CRASH_REPRO_DIR:-.crash-repro}"
-    export CRASH_ROUNDS="${CRASH_ROUNDS:-25}"
-    for seed in ${CRASH_SEEDS:-0 1 2 3}; do
-        echo "=== crash soak: CRASH_SEED=$seed (CRASH_ROUNDS=$CRASH_ROUNDS) ==="
-        CRASH_SEED="$seed" \
-            timeout --signal=INT "$SUITE_TIMEOUT" \
-            python -m pytest -x -q tests/testkit/test_crash.py \
-            --per-test-timeout="$PER_TEST_TIMEOUT" "$@"
-    done
-    exit 0
-fi
-
-if [[ "${1:-}" == "--failover" ]]; then
-    shift
-    export FAILOVER_REPRO_DIR="${FAILOVER_REPRO_DIR:-.testkit-repro}"
-    export FAILOVER_ROUNDS="${FAILOVER_ROUNDS:-10}"
-    for seed in ${FAILOVER_SEEDS:-0 1 2}; do
-        echo "=== failover soak: FAILOVER_SEED=$seed (FAILOVER_ROUNDS=$FAILOVER_ROUNDS) ==="
-        FAILOVER_SEED="$seed" \
-            timeout --signal=INT "$SUITE_TIMEOUT" \
-            python -m pytest -x -q tests/testkit/test_failover.py \
-            --per-test-timeout="$PER_TEST_TIMEOUT" "$@"
-    done
-    export FAILOVER_BENCH_JSON="${FAILOVER_BENCH_JSON:-BENCH_failover.json}"
-    echo "=== failover bench: recovery within the lease budget ==="
-    timeout --signal=INT "$SUITE_TIMEOUT" \
-        python -m pytest -x -q -s benchmarks/test_bench_failover.py \
-        -p no:cacheprovider "$@"
-    exit 0
-fi
-
-if [[ "${1:-}" == "--integrity" ]]; then
-    shift
-    export INTEGRITY_REPRO_DIR="${INTEGRITY_REPRO_DIR:-.testkit-repro}"
-    export INTEGRITY_ROUNDS="${INTEGRITY_ROUNDS:-8}"
-    for seed in ${INTEGRITY_SEEDS:-0 1 2}; do
-        echo "=== integrity soak: INTEGRITY_SEED=$seed (INTEGRITY_ROUNDS=$INTEGRITY_ROUNDS) ==="
-        INTEGRITY_SEED="$seed" \
-            timeout --signal=INT "$SUITE_TIMEOUT" \
-            python -m pytest -x -q tests/testkit/test_integrity.py \
-            tests/distributed/test_integrity.py \
-            --per-test-timeout="$PER_TEST_TIMEOUT" "$@"
-    done
-    export INTEGRITY_BENCH_JSON="${INTEGRITY_BENCH_JSON:-BENCH_integrity.json}"
-    echo "=== integrity bench: detection within the probe budget ==="
-    timeout --signal=INT "$SUITE_TIMEOUT" \
-        python -m pytest -x -q -s benchmarks/test_bench_integrity.py \
-        -p no:cacheprovider "$@"
-    exit 0
-fi
-
-if [[ "${1:-}" == "--overload" ]]; then
-    shift
-    export OVERLOAD_REPRO_DIR="${OVERLOAD_REPRO_DIR:-.testkit-repro}"
-    export OVERLOAD_ROUNDS="${OVERLOAD_ROUNDS:-3}"
-    for seed in ${OVERLOAD_SEEDS:-0 1 2}; do
-        echo "=== overload soak: OVERLOAD_SEED=$seed (OVERLOAD_ROUNDS=$OVERLOAD_ROUNDS) ==="
-        OVERLOAD_SEED="$seed" \
-            timeout --signal=INT "$SUITE_TIMEOUT" \
-            python -m pytest -x -q tests/testkit/test_overload.py \
-            tests/distributed/test_overload.py \
-            --per-test-timeout="$PER_TEST_TIMEOUT" "$@"
-    done
-    export OVERLOAD_BENCH_JSON="${OVERLOAD_BENCH_JSON:-BENCH_overload.json}"
-    echo "=== overload bench: goodput floor under a 10x burst ==="
-    timeout --signal=INT "$SUITE_TIMEOUT" \
-        python -m pytest -x -q -s benchmarks/test_bench_overload.py \
-        -p no:cacheprovider "$@"
+    run_mode "$row" "$@"
     exit 0
 fi
 

@@ -1,8 +1,8 @@
 """``repro.comm`` — communication substrates.
 
 Framed TCP transport (the paper's socket layer), a pickle-free wire
-protocol for numpy arrays, MPI-style collectives and a gRPC-style RPC
-system.  Everything meters messages/bytes so the edge simulator can replay
+protocol for numpy arrays, the one frame server every listening node
+is built on, MPI-style collectives and a gRPC-style RPC system.  Everything meters messages/bytes so the edge simulator can replay
 real traffic against a WiFi model.
 """
 
@@ -12,6 +12,7 @@ from .demux import ChannelDead, ReplyDemux, ReplySlot
 from .mpi import Communicator, LocalGroup, run_group
 from .protocol import Message, ProtocolError, decode, encode
 from .rpc import RemoteError, RpcClient, RpcServer
+from .server import FrameServer
 from .transport import (FrameError, Listener, MeteredSocket, TcpTransport,
                         TransportStats, connect, recv_frame, send_frame)
 
@@ -20,5 +21,5 @@ __all__ = [
     "Communicator", "LocalGroup", "run_group", "RpcServer", "RpcClient",
     "RemoteError", "Listener", "MeteredSocket", "TransportStats", "connect",
     "send_frame", "recv_frame", "FrameError", "Transport", "TcpTransport",
-    "ReplyDemux", "ReplySlot", "ChannelDead",
+    "ReplyDemux", "ReplySlot", "ChannelDead", "FrameServer",
 ]

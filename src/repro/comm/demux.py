@@ -44,7 +44,7 @@ import time
 
 from . import protocol
 
-__all__ = ["ChannelDead", "ReplySlot", "ReplyDemux"]
+__all__ = ["ChannelDead", "ReplySlot", "ReplyDemux", "exchange"]
 
 #: framing overhead per message, mirrored by both transports' meters
 FRAME_OVERHEAD_BYTES = 8
@@ -53,6 +53,31 @@ FRAME_OVERHEAD_BYTES = 8
 class ChannelDead(ConnectionError):
     """The demuxed connection is no longer usable (timeout, disconnect,
     or a malformed frame poisoned the stream)."""
+
+
+def exchange(endpoint, request: bytes, seq,
+             timeout: float | None) -> protocol.Message:
+    """One request, one acknowledged reply, on a connection nobody else
+    reads — the demux contract without a reader thread, for the
+    dial-ask-hang-up exchanges (model pushes, roster deltas, observer
+    pings).
+
+    Sends ``request``, then reads frames until one echoes ``seq``.  One
+    deadline covers the whole exchange: draining a stale frame consumes
+    part of it instead of resetting it, so a chatty peer cannot stall
+    the caller past ``timeout``.  Raises whatever the endpoint raises
+    (``ConnectionError``/``OSError``/``TimeoutError``) and
+    :class:`~repro.comm.protocol.ProtocolError` on a malformed reply; the
+    caller owns the endpoint and closes it.
+    """
+    deadline = None if timeout is None else time.monotonic() + timeout
+    endpoint.send(request)
+    while True:
+        remaining = (None if deadline is None
+                     else max(0.0, deadline - time.monotonic()))
+        reply = protocol.decode(endpoint.recv(timeout=remaining))
+        if reply.meta.get("seq") == seq:
+            return reply
 
 
 class ReplySlot:

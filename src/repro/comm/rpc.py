@@ -15,7 +15,8 @@ import traceback
 import numpy as np
 
 from . import protocol
-from .transport import Listener, MeteredSocket, TransportStats, connect
+from .server import FrameServer
+from .transport import TcpTransport, TransportStats, connect
 
 __all__ = ["RpcServer", "RpcClient", "RemoteError"]
 
@@ -25,19 +26,22 @@ class RemoteError(RuntimeError):
 
 
 class RpcServer:
-    """Serves named handlers: ``handler(meta, arrays) -> (meta, arrays)``."""
+    """Serves named handlers: ``handler(meta, arrays) -> (meta, arrays)``.
+
+    A :class:`~repro.comm.server.FrameServer` whose one message kind is
+    ``"call"``; ``stop()`` closes every client connection still open.
+    """
 
     def __init__(self, host: str = "127.0.0.1", port: int = 0):
-        self._listener = Listener(host, port)
+        self._server = FrameServer(TcpTransport(), host, port)
+        self._server.register("call", self._call)
         self._handlers: dict[str, callable] = {}
-        self._threads: list[threading.Thread] = []
-        self._running = False
         self.stats = TransportStats()
         self._stats_lock = threading.Lock()
 
     @property
     def address(self) -> tuple[str, int]:
-        return self._listener.address
+        return self._server.address
 
     def register(self, name: str, handler) -> None:
         """Register ``handler`` under method ``name``."""
@@ -45,36 +49,15 @@ class RpcServer:
 
     def start(self) -> None:
         """Start accepting connections in a background thread."""
-        self._running = True
-        acceptor = threading.Thread(target=self._accept_loop, daemon=True)
-        acceptor.start()
-        self._threads.append(acceptor)
+        self._server.start()
 
-    def _accept_loop(self) -> None:
-        while self._running:
-            try:
-                sock = self._listener.accept(timeout=0.2)
-            except TimeoutError:
-                continue
-            except OSError:
-                return
-            worker = threading.Thread(target=self._serve_connection,
-                                      args=(sock,), daemon=True)
-            worker.start()
-            self._threads.append(worker)
-
-    def _serve_connection(self, sock: MeteredSocket) -> None:
-        with sock:
-            try:
-                while self._running:
-                    request = protocol.decode(sock.recv())
-                    response = self._dispatch(request)
-                    sock.send(response)
-                    with self._stats_lock:
-                        self.stats.merge(sock.stats)
-                        sock.stats.reset()
-            except (ConnectionError, OSError):
-                return
+    def _call(self, request: protocol.Message, sock) -> None:
+        # Replies are sent here rather than returned so each one is
+        # metered as it goes out, while its connection is still open.
+        sock.send(self._dispatch(request))
+        with self._stats_lock:
+            self.stats.merge(sock.stats)
+            sock.stats.reset()
 
     def _dispatch(self, request: protocol.Message) -> bytes:
         method = request.meta.get("method", "")
@@ -89,8 +72,7 @@ class RpcServer:
             return protocol.encode("error", {"error": traceback.format_exc()})
 
     def stop(self) -> None:
-        self._running = False
-        self._listener.close()
+        self._server.stop()
 
     def __enter__(self):
         self.start()

@@ -53,7 +53,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..comm import protocol
-from ..comm.demux import ChannelDead
+from ..comm.demux import ChannelDead, exchange
+from ..comm.server import FrameServer
 from ..comm.transport import TcpTransport
 from .election import elect_leader
 from .overload import RetryBudget
@@ -257,8 +258,10 @@ class StandbyMaster:
         self._clock = clock
         self._transport = (transport if transport is not None
                            else TcpTransport())
-        self._host = host
-        self._listener = self._transport.listen(host, port)
+        self._server = FrameServer(self._transport, host, port)
+        self._server.register(protocol.ROSTER, self._apply_roster)
+        self._server.register(protocol.PING, self._pong)
+        self._server.register(protocol.ELECT, self._deliver_token)
         self._roster: dict[int, tuple[str, int]] = \
             {int(i): tuple(a) for i, a in (roster or {}).items()}
         self._roster_version = 0
@@ -268,16 +271,12 @@ class StandbyMaster:
         #: standby itself never observed the previous leadership.
         self.contested_epoch: int | None = None
         self.ring: TransportRing | None = None
-        self._running = False
-        self._acceptor: threading.Thread | None = None
-        self._threads: list[threading.Thread] = []
-        self._conns: list = []
         self._lock = threading.Lock()
 
     # ------------------------------------------------------------- identity
     @property
     def address(self) -> tuple[str, int]:
-        return (self._host, self._listener.port)
+        return self._server.address
 
     def roster(self) -> dict[int, tuple[str, int]]:
         with self._lock:
@@ -307,7 +306,7 @@ class StandbyMaster:
                     self.max_epoch_seen = max(self.max_epoch_seen,
                                               snapshot.epoch)
 
-    def _apply_roster(self, msg: protocol.Message) -> bytes:
+    def _apply_roster(self, msg: protocol.Message, sock=None) -> bytes:
         version = int(msg.meta.get("version", 0))
         entries = msg.meta.get("roster", [])
         epoch = msg.meta.get("epoch")
@@ -323,84 +322,25 @@ class StandbyMaster:
                                {"seq": msg.meta.get("seq"),
                                 "version": acked})
 
+    def _pong(self, msg: protocol.Message, sock) -> bytes:
+        """Liveness ack for whoever monitors the standby itself."""
+        return protocol.encode(protocol.PONG, {
+            "seq": msg.meta.get("seq"), "standby": self.name})
+
+    def _deliver_token(self, msg: protocol.Message, sock) -> None:
+        ring = self.ring
+        if ring is not None:
+            ring.deliver(msg)
+
     # ------------------------------------------------------------ lifecycle
     def start(self) -> "StandbyMaster":
-        if self._running:
-            return self
-        self._running = True
-        self._acceptor = threading.Thread(target=self._accept_loop,
-                                          daemon=True,
-                                          name=f"standby-{self.name}-accept")
-        self._acceptor.start()
+        self._server.start()
         return self
 
-    def _accept_loop(self) -> None:
-        while self._running:
-            try:
-                sock = self._listener.accept(timeout=0.2)
-            except TimeoutError:
-                continue
-            except OSError:
-                return
-            self._threads = [t for t in self._threads if t.is_alive()]
-            with self._lock:
-                self._conns.append(sock)
-            thread = threading.Thread(target=self._serve, args=(sock,),
-                                      daemon=True)
-            thread.start()
-            self._threads.append(thread)
-
-    def _serve(self, sock) -> None:
-        try:
-            with sock:
-                while self._running:
-                    try:
-                        msg = protocol.decode(sock.recv())
-                    except (ConnectionError, OSError,
-                            protocol.ProtocolError):
-                        return
-                    try:
-                        if msg.kind == protocol.SHUTDOWN:
-                            return
-                        elif msg.kind == protocol.ROSTER:
-                            sock.send(self._apply_roster(msg))
-                        elif msg.kind == protocol.PING:
-                            sock.send(protocol.encode(protocol.PONG, {
-                                "seq": msg.meta.get("seq"),
-                                "standby": self.name}))
-                        elif msg.kind == protocol.ELECT:
-                            ring = self.ring
-                            if ring is not None:
-                                ring.deliver(msg)
-                        else:
-                            sock.send(protocol.encode(protocol.ERROR, {
-                                "error": f"unexpected {msg.kind!r}",
-                                "seq": msg.meta.get("seq")}))
-                    except (ConnectionError, OSError):
-                        return
-        finally:
-            with self._lock:
-                if sock in self._conns:
-                    self._conns.remove(sock)
-
     def stop(self) -> None:
-        self._running = False
         if self.ring is not None:
             self.ring.close()
-        self._listener.close()
-        with self._lock:
-            conns, self._conns = list(self._conns), []
-        for sock in conns:
-            try:
-                sock.close()
-            except (ConnectionError, OSError):
-                pass
-        if self._acceptor is not None:
-            self._acceptor.join(timeout=1.0)
-            self._acceptor = None
-        for thread in self._threads:
-            thread.join(timeout=1.0)
-        self._threads = [t for t in self._threads if t.is_alive()]
+        self._server.stop()
 
     # ------------------------------------------------------------ detection
     def poll(self, timeout: float | None = None) -> LeaseView:
@@ -423,8 +363,8 @@ class StandbyMaster:
         except (ConnectionError, OSError):
             return WorkerView(index=index, reachable=False)
         try:
-            sock.send(protocol.encode(protocol.PING, {"seq": 0}))
-            reply = protocol.decode(sock.recv(timeout=timeout))
+            reply = exchange(sock, protocol.encode(protocol.PING, {"seq": 0}),
+                             0, timeout)
             if reply.kind != protocol.PONG:
                 return WorkerView(index=index, reachable=False)
             return WorkerView(

@@ -43,12 +43,15 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from ..comm import protocol
 from ..comm.base import Transport
-from ..comm.demux import FRAME_OVERHEAD_BYTES, ReplyDemux, ReplySlot
+from ..comm.demux import (FRAME_OVERHEAD_BYTES, ReplyDemux, ReplySlot,
+                          exchange)
+from ..comm.server import FrameServer
 from ..comm.transport import (MeteredSocket, TcpTransport, TransportStats)
 from ..core.entropy import entropy_from_probs
 from ..core.inference import (ExpertOutput, argmin_select, expert_forward,
@@ -68,12 +71,13 @@ __all__ = ["ExpertWorker", "TeamNetMaster", "WorkerFailure", "WorkerHealth",
 
 
 @dataclass
-class InferenceStats:
+class InferenceStats(TransportStats):
     """Traffic, gather and degradation telemetry observed by the master
     for one inference.
 
-    Byte/message counters include traffic to workers that later failed:
-    the broadcast bytes went on the wire whether or not a reply came back,
+    The inherited byte/message counters (one shape with the control
+    rounds' ledgers) include traffic to workers that later failed: the
+    broadcast bytes went on the wire whether or not a reply came back,
     and the edge cost model must charge for them.  ``participants`` is
     the number of experts (master included) whose output fed the answer;
     ``degraded`` is set whenever that is less than the full team, and
@@ -81,10 +85,6 @@ class InferenceStats:
     policy flags instead of raising.
     """
 
-    messages_sent: int = 0
-    bytes_sent: int = 0
-    messages_received: int = 0
-    bytes_received: int = 0
     gather_s: float = 0.0
     reply_latency_s: dict[int, float] = field(default_factory=dict)
     failures: int = 0
@@ -107,11 +107,6 @@ class InferenceStats:
     #: coalesced segments a worker skipped mid-batch for deadline (their
     #: rows come back as uniform max-entropy filler)
     expired_segments: int = 0
-
-    @classmethod
-    def from_transport(cls, stats: TransportStats) -> "InferenceStats":
-        return cls(stats.messages_sent, stats.bytes_sent,
-                   stats.messages_received, stats.bytes_received)
 
 
 @dataclass
@@ -164,17 +159,21 @@ class _Peer:
     __slots__ = ("index", "address", "sock", "channel", "health", "breaker")
 
     def __init__(self, index: int, address: tuple[str, int],
-                 sock: MeteredSocket | None, resilience: ResilienceConfig):
+                 sock: MeteredSocket, resilience: ResilienceConfig):
         self.index = index
         self.address = address
         self.sock = sock
-        self.channel = ReplyDemux(sock) if sock is not None else None
-        self.health = WorkerHealth(
-            index=index, address=address,
-            detector=SuspicionTracker(
-                alpha=resilience.ewma_alpha,
-                decay=resilience.success_decay,
-                threshold=resilience.suspicion_threshold))
+        self.channel = ReplyDemux(sock)
+        self.health = WorkerHealth(index=index, address=address)
+        self.reset_control(resilience)
+
+    def reset_control(self, resilience: ResilienceConfig) -> None:
+        """Fresh failure detector and circuit breaker for this slot (at
+        construction, and when a redeploy rewires it to a new node)."""
+        self.health.detector = SuspicionTracker(
+            alpha=resilience.ewma_alpha,
+            decay=resilience.success_decay,
+            threshold=resilience.suspicion_threshold)
         # Seeded per-peer jitter desynchronizes the open windows of
         # breakers that tripped together — without it every peer that
         # died in the same event retries in lockstep, a reconnect storm
@@ -184,31 +183,33 @@ class _Peer:
             reset_timeout=resilience.reset_timeout,
             reset_timeout_max=resilience.reset_timeout_max,
             jitter=resilience.backoff_jitter,
-            rng=resilience.breaker_rng(index))
+            rng=resilience.breaker_rng(self.index))
 
     @property
     def alive(self) -> bool:
         return self.sock is not None
 
+    def hang_up(self) -> None:
+        """Close the demux and the socket: down until redialled."""
+        if self.channel is not None:
+            self.channel.close()
+            self.channel = None
+        if self.sock is not None:
+            self.sock.close()
+            self.sock = None
 
-class _Pending:
+
+class _Pending(NamedTuple):
     """One in-flight broadcast: the slots awaiting each peer's reply.
 
     Produced by :meth:`TeamNetMaster._begin`, consumed exactly once by
     :meth:`TeamNetMaster._finish`.  Several of these may be outstanding
     at a time — that is the serving core's pipeline."""
 
-    __slots__ = ("x", "seq", "segments", "waits", "inference", "hedged_set")
-
-    def __init__(self, x: np.ndarray, seq: int, segments: list[int] | None,
-                 waits: list[tuple[_Peer, ReplySlot]],
-                 inference: InferenceStats, hedged_set: set[int]):
-        self.x = x
-        self.seq = seq
-        self.segments = segments
-        self.waits = waits
-        self.inference = inference
-        self.hedged_set = hedged_set
+    x: np.ndarray
+    waits: list[tuple[_Peer, ReplySlot]]
+    inference: InferenceStats
+    hedged_set: set[int]
 
 
 class ExpertWorker:
@@ -237,7 +238,6 @@ class ExpertWorker:
                  engine: str = "tape", clock=None):
         self.expert = expert
         self.engine = validate_engine(engine)
-        self._host = host
         self._store = store
         self._expert_index = expert_index
         # The model-version stamp for the integrity layer: the weights
@@ -258,22 +258,19 @@ class ExpertWorker:
         self.shed_segments = 0   #: coalesced segments shed mid-batch
         self.lease = LeaderLease()
         self._lease_lock = threading.Lock()
-        self._transport = transport if transport is not None else TcpTransport()
-        self._listener = self._transport.listen(host, port)
-        self._port = self._listener.port  # pin the port for restarts
-        self._running = False
-        self._threads: list[threading.Thread] = []
-        self._acceptor: threading.Thread | None = None
-        # Accepted connections, tracked so stop() can close them: a serve
-        # thread blocks in a timeout-less recv between requests, and only
-        # closing its socket unblocks it — otherwise every stop/start
-        # cycle leaks one thread per connection a master held open.
-        self._conns: list = []
-        self._conn_lock = threading.Lock()
+        self._server = FrameServer(
+            transport if transport is not None else TcpTransport(),
+            host, port)
+        for kind, handler in ((protocol.PING, self._handle_ping),
+                              (protocol.ATTACH, self._handle_attach),
+                              (protocol.DEPLOY, self._handle_deploy),
+                              (protocol.INFER, self._handle_infer),
+                              (protocol.CANARY, self._handle_infer)):
+            self._server.register(kind, self._fenced(handler))
 
     @property
     def address(self) -> tuple[str, int]:
-        return (self._host, self._port)
+        return self._server.address
 
     @property
     def fingerprint(self) -> str:
@@ -287,42 +284,54 @@ class ExpertWorker:
                     self.lease.age(self._clock()))
 
     # ---------------------------------------------------------- leadership
-    def _stale_epoch_reply(self, seq, claimed) -> bytes:
-        """Fence off a claim below the highest epoch seen (caller holds
-        ``_lease_lock``)."""
-        return protocol.encode(protocol.ERROR, {
-            "error": f"stale epoch {claimed} < {self.lease.epoch}",
-            "stale_epoch": True, "epoch": self.lease.epoch, "seq": seq})
+    def _fenced(self, handler):
+        """Wrap ``handler`` in the worker's one epoch fence.
+
+        A frame whose ``epoch`` is below the highest seen comes from a
+        deposed master and must be refused, not served — otherwise two
+        masters could serve conflicting answers (or push conflicting
+        experts) during a failover window.  A current-or-newer epoch
+        counts as a lease renewal: live traffic is proof of leader
+        liveness.  Frames without an epoch (observer pings, masters run
+        without leadership) renew nothing and are never fenced.
+        """
+        def serve(msg: protocol.Message, sock) -> bytes:
+            epoch = msg.meta.get("epoch")
+            if epoch is not None:
+                with self._lease_lock:
+                    if not self.lease.renew(msg.meta.get("leader"), epoch,
+                                            self._clock()):
+                        return protocol.encode(protocol.ERROR, {
+                            "error": f"stale epoch {epoch} < "
+                                     f"{self.lease.epoch}",
+                            "stale_epoch": True, "epoch": self.lease.epoch,
+                            "seq": msg.meta.get("seq")})
+            return handler(msg)
+        return serve
 
     def _handle_ping(self, msg: protocol.Message) -> bytes:
         """Heartbeat reply.  A *leader* ping (meta carries ``epoch``)
-        renews the lease — or is fenced when the epoch is below the
-        highest seen.  An *observer* ping (no epoch; standbys and legacy
-        masters) just reads the lease: the pong's ``leader``/``epoch``/
-        ``lease_age_s`` payload is how standbys learn who leads and how
-        stale the claim is."""
-        seq = msg.meta.get("seq")
-        epoch = msg.meta.get("epoch")
+        has renewed the lease on its way through the fence; an
+        *observer* ping (no epoch; standbys and legacy masters) just
+        reads it: the pong's ``leader``/``epoch``/``lease_age_s`` payload
+        is how standbys learn who leads and how stale the claim is."""
         with self._lease_lock:
-            if epoch is not None and not self.lease.renew(
-                    msg.meta.get("leader"), epoch, self._clock()):
-                return self._stale_epoch_reply(seq, epoch)
             return protocol.encode(protocol.PONG, {
-                "seq": seq, "leader": self.lease.leader,
+                "seq": msg.meta.get("seq"), "leader": self.lease.leader,
                 "epoch": self.lease.epoch,
                 "lease_age_s": self.lease.age(self._clock())})
 
     def _handle_attach(self, msg: protocol.Message) -> bytes:
         """The (re-)attach handshake: a master presenting an epoch >= the
-        highest seen becomes this worker's leader; lower epochs are
-        fenced.  This is how a promoted standby takes over live workers
-        — and how a zombie primary learns it has been deposed."""
+        highest seen has become this worker's leader in the fence; lower
+        epochs never get here.  This is how a promoted standby takes
+        over live workers — and how a zombie primary learns it has been
+        deposed."""
         seq = msg.meta.get("seq")
-        epoch = msg.meta.get("epoch", 0)
+        if msg.meta.get("epoch") is None:
+            return protocol.encode(protocol.ERROR, {
+                "error": "attach without a leadership epoch", "seq": seq})
         with self._lease_lock:
-            if not self.lease.renew(msg.meta.get("leader"), epoch,
-                                    self._clock()):
-                return self._stale_epoch_reply(seq, epoch)
             return protocol.encode(protocol.ATTACHED,
                                    {"seq": seq, "epoch": self.lease.epoch})
 
@@ -341,68 +350,38 @@ class ExpertWorker:
         self._fingerprint = weights_fingerprint(model)
 
     def start(self) -> None:
-        if self._running:
+        if self._server.running:
             return
         if self._store is not None and self._expert_index is not None:
             self._reload_from_store()
-        if self._listener is None:
-            self._listener = self._transport.listen(self._host, self._port)
-        self._running = True
-        self._acceptor = threading.Thread(target=self._accept_loop,
-                                          args=(self._listener,), daemon=True)
-        self._acceptor.start()
+        self._server.start()
 
-    def _accept_loop(self, listener) -> None:
-        while self._running and listener is self._listener:
-            try:
-                sock = listener.accept(timeout=0.2)
-            except TimeoutError:
-                continue
-            except OSError:
-                return
-            # Reap finished connection threads so the list stays bounded
-            # under heavy traffic instead of growing one entry per client.
-            self._threads = [t for t in self._threads if t.is_alive()]
-            with self._conn_lock:
-                self._conns.append(sock)
-            worker = threading.Thread(target=self._serve, args=(sock,),
-                                      daemon=True)
-            worker.start()
-            self._threads.append(worker)
+    def stop(self) -> None:
+        self._server.stop()
 
-    def _handle_deploy(self, sock, msg: protocol.Message) -> bool:
+    def _handle_deploy(self, msg: protocol.Message) -> bytes:
         """Install a pushed expert archive; ack with DEPLOYED.
 
-        Returns False when the connection is beyond use.  A corrupt or
-        missing archive costs the sender an error reply and leaves the
-        current expert serving — a bad push must never brick the node.
+        A corrupt or missing archive costs the sender an error reply and
+        leaves the current expert serving — a bad push must never brick
+        the node.
         """
         seq = msg.meta.get("seq")
         blob = msg.arrays.get("model")
         if blob is None:
-            return self._safe_send(sock, protocol.encode(
+            return protocol.encode(
                 protocol.ERROR,
-                {"error": "deploy without a model archive", "seq": seq}))
+                {"error": "deploy without a model archive", "seq": seq})
         try:
             model, spec = model_from_bytes(
                 np.ascontiguousarray(blob, dtype=np.uint8).tobytes())
         except CorruptModelError as exc:
-            return self._safe_send(sock, protocol.encode(
-                protocol.ERROR, {"error": f"deploy: {exc}", "seq": seq}))
+            return protocol.encode(
+                protocol.ERROR, {"error": f"deploy: {exc}", "seq": seq})
         self.expert = model
         self._fingerprint = weights_fingerprint(model)
-        return self._safe_send(sock, protocol.encode(
-            protocol.DEPLOYED, {"seq": seq, "spec": spec.name}))
-
-    @staticmethod
-    def _safe_send(sock, blob: bytes) -> bool:
-        """Best-effort send: a peer that hangs up right before our reply
-        (e.g. after sending garbage) must not crash the serve thread."""
-        try:
-            sock.send(blob)
-            return True
-        except (ConnectionError, OSError):
-            return False
+        return protocol.encode(protocol.DEPLOYED,
+                               {"seq": seq, "spec": spec.name})
 
     # ------------------------------------------------------ deadline shed
     def _shed_rows(self, msg: protocol.Message) -> int | None:
@@ -467,11 +446,6 @@ class ExpertWorker:
         live = next((p for p in pieces if p is not None), None)
         if live is None:
             return None, expired
-        if not expired:
-            return ExpertOutput(
-                probs=np.concatenate([p.probs for p in pieces], axis=0),
-                entropy=np.concatenate([p.entropy for p in pieces],
-                                       axis=0)), []
         n_classes = int(live.probs.shape[-1])
         probs_parts, ent_parts = [], []
         for i, rows in enumerate(segments):
@@ -489,146 +463,44 @@ class ExpertWorker:
             probs=np.concatenate(probs_parts, axis=0),
             entropy=np.concatenate(ent_parts, axis=0)), expired
 
-    def _serve(self, sock) -> None:
-        try:
-            with sock:
-                try:
-                    while self._running:
-                        try:
-                            msg = protocol.decode(sock.recv())
-                        except protocol.ProtocolError as exc:
-                            # Malformed manifest from an untrusted peer: tell
-                            # it why, then drop the connection rather than
-                            # trust anything further on this stream.
-                            self._safe_send(sock, protocol.encode(
-                                protocol.ERROR,
-                                {"error": f"bad message: {exc}"}))
-                            return
-                        if msg.kind == protocol.SHUTDOWN:
-                            return
-                        if msg.kind == protocol.PING:
-                            if not self._safe_send(sock,
-                                                   self._handle_ping(msg)):
-                                return
-                            continue
-                        if msg.kind == protocol.ATTACH:
-                            if not self._safe_send(sock,
-                                                   self._handle_attach(msg)):
-                                return
-                            continue
-                        if msg.kind == protocol.DEPLOY:
-                            if not self._handle_deploy(sock, msg):
-                                return
-                            continue
-                        # Replies echo the request's seq so the master can
-                        # correlate them: a duplicated or reordered reply from
-                        # an earlier request must never be mistaken for the
-                        # answer to the current one.
-                        seq = msg.meta.get("seq")
-                        if msg.kind not in (protocol.INFER, protocol.CANARY):
-                            self._safe_send(sock, protocol.encode(
-                                protocol.ERROR,
-                                {"error": f"unexpected {msg.kind!r}",
-                                 "seq": seq}))
-                            continue
-                        # Epoch fencing: a broadcast from a deposed
-                        # master (epoch below the highest seen) must be
-                        # refused, not answered — otherwise two masters
-                        # could serve conflicting answers during a
-                        # failover window.  A current-or-newer epoch
-                        # counts as a lease renewal: live traffic is
-                        # proof of leader liveness.
-                        epoch = msg.meta.get("epoch")
-                        if epoch is not None:
-                            with self._lease_lock:
-                                if not self.lease.renew(
-                                        msg.meta.get("leader"), epoch,
-                                        self._clock()):
-                                    reply = self._stale_epoch_reply(seq,
-                                                                    epoch)
-                                    if not self._safe_send(sock, reply):
-                                        return
-                                    continue
-                        # Deadline shedding: a request whose budget is
-                        # already spent gets a typed EXPIRED reply instead
-                        # of a wasted forward — the master books it as
-                        # shed, never as a failure.
-                        shed_rows = (self._shed_rows(msg)
-                                     if msg.kind == protocol.INFER else None)
-                        if shed_rows is not None:
-                            self.shed_expired += 1
-                            if not self._safe_send(sock, protocol.encode(
-                                    protocol.EXPIRED,
-                                    {"seq": seq, "rows": shed_rows})):
-                                return
-                            continue
-                        try:
-                            # ``segments`` marks a coalesced micro-batch
-                            # whose per-request row runs must be forwarded
-                            # separately for bit-exactness (see
-                            # expert_forward_segments).  A canary probe is
-                            # an ordinary forward on the known-answer
-                            # batch — an honest worker cannot tell probes
-                            # from traffic, which is the point.
-                            output, expired = self._forward_shedding(msg)
-                        except Exception as exc:  # noqa: BLE001 - reply, don't die
-                            # A bad input (wrong shape, missing array) must
-                            # cost the sender an error reply, not this serve
-                            # thread.
-                            self._safe_send(sock, protocol.encode(
-                                protocol.ERROR,
-                                {"error": f"inference: {exc}", "seq": seq}))
-                            continue
-                        if output is None:
-                            # Every segment's budget expired mid-batch.
-                            self.shed_expired += 1
-                            self.shed_segments += len(expired)
-                            rows = int(np.asarray(msg.arrays["x"]).shape[0])
-                            if not self._safe_send(sock, protocol.encode(
-                                    protocol.EXPIRED,
-                                    {"seq": seq, "rows": rows})):
-                                return
-                            continue
-                        reply_meta = {"seq": seq,
-                                      "model_version": self._fingerprint}
-                        if expired:
-                            self.shed_segments += len(expired)
-                            reply_meta["expired_segments"] = expired
-                        sock.send(protocol.encode(
-                            protocol.RESULT, reply_meta, {
-                                "probs": output.probs,
-                                "entropy": output.entropy,
-                            }))
-                except (ConnectionError, OSError):
-                    return
-        finally:
-            with self._conn_lock:
-                if sock in self._conns:
-                    self._conns.remove(sock)
-
-    def stop(self) -> None:
-        self._running = False
-        if self._listener is not None:
-            self._listener.close()
-            self._listener = None
-        # Close every live connection: serve threads blocked in recv wake
-        # with a connection error and exit instead of leaking.
-        with self._conn_lock:
-            conns = list(self._conns)
-            self._conns.clear()
-        for sock in conns:
+    def _handle_infer(self, msg: protocol.Message) -> bytes:
+        """INFER and CANARY: run the expert, reply RESULT (or EXPIRED)."""
+        # Replies echo the request's seq so the master can correlate
+        # them: a duplicated or reordered reply from an earlier request
+        # must never be mistaken for the answer to the current one.
+        seq = msg.meta.get("seq")
+        # Deadline shedding: a request whose budget is already spent
+        # gets a typed EXPIRED reply instead of a wasted forward — the
+        # master books it as shed, never as a failure.
+        shed_rows = (self._shed_rows(msg)
+                     if msg.kind == protocol.INFER else None)
+        if shed_rows is None:
             try:
-                sock.close()
-            except (ConnectionError, OSError):
-                pass
-        if self._acceptor is not None:
-            # Wait out the acceptor's poll window so the kernel fully
-            # releases the listening port — a restart rebinds the same one.
-            self._acceptor.join(timeout=1.0)
-            self._acceptor = None
-        for thread in self._threads:
-            thread.join(timeout=1.0)
-        self._threads = [t for t in self._threads if t.is_alive()]
+                # ``segments`` marks a coalesced micro-batch whose
+                # per-request row runs must be forwarded separately for
+                # bit-exactness (see expert_forward_segments).  A canary
+                # probe is an ordinary forward on the known-answer batch
+                # — an honest worker cannot tell probes from traffic,
+                # which is the point.
+                output, expired = self._forward_shedding(msg)
+            except Exception as exc:  # noqa: BLE001 - reply, don't die
+                # A bad input (wrong shape, missing array) must cost the
+                # sender an error reply, not this serve thread.
+                return protocol.encode(protocol.ERROR, {
+                    "error": f"inference: {exc}", "seq": seq})
+            self.shed_segments += len(expired)
+            if output is None:
+                # Every segment's budget expired mid-batch.
+                shed_rows = int(np.asarray(msg.arrays["x"]).shape[0])
+        if shed_rows is not None:
+            self.shed_expired += 1
+            return protocol.encode(protocol.EXPIRED,
+                                   {"seq": seq, "rows": shed_rows})
+        reply_meta = {"seq": seq, "model_version": self._fingerprint}
+        if expired:
+            reply_meta["expired_segments"] = expired
+        return protocol.encode(protocol.RESULT, reply_meta, {
+            "probs": output.probs, "entropy": output.entropy})
 
 
 class WorkerFailure(ConnectionError):
@@ -669,9 +541,10 @@ class TeamNetMaster:
     Failed workers are gated by per-peer circuit breakers: below the
     failure threshold a reconnect is attempted on the next inference;
     once the breaker trips open, the worker receives nothing until the
-    open window (``reconnect_backoff`` seconds, doubling per re-trip up
-    to ``reconnect_backoff_max``) elapses and a probe succeeds.  A
-    worker that comes back (same address) rejoins the team automatically.
+    open window (``resilience.reset_timeout`` seconds, doubling per
+    re-trip up to ``resilience.reset_timeout_max``) elapses and a probe
+    succeeds.  A worker that comes back (same address) rejoins the team
+    automatically.
 
     Plain ``infer``/``heartbeat`` calls must not overlap each other.  For
     concurrent callers, wrap the master in a
@@ -686,8 +559,6 @@ class TeamNetMaster:
                  worker_addresses: list[tuple[str, int]],
                  degrade_on_failure: bool = False,
                  reply_timeout: float | None = None,
-                 reconnect_backoff: float = 0.25,
-                 reconnect_backoff_max: float = 5.0,
                  connect_timeout: float = 0.25,
                  transport: Transport | None = None,
                  resilience: ResilienceConfig | None = None,
@@ -703,7 +574,7 @@ class TeamNetMaster:
         self.engine = validate_engine(engine)
         self.store = store
         # Leadership identity (master failover).  With an ``epoch`` set,
-        # every broadcast/ping/attach carries it and workers fence off
+        # every frame sent to a worker carries it and workers fence off
         # anything below the highest epoch they have seen; ``None`` is
         # the legacy single-master mode (no epochs on the wire, never
         # fenced).  ``leader_id`` names this master in pong payloads so
@@ -733,8 +604,7 @@ class TeamNetMaster:
         self.hedging_override: bool | None = None
         self.min_quorum_override: int | None = None
         self.resilience = resilience if resilience is not None else \
-            ResilienceConfig(reset_timeout=reconnect_backoff,
-                             reset_timeout_max=reconnect_backoff_max)
+            ResilienceConfig()
         self.degradation = degradation if degradation is not None else \
             DegradationPolicy()
         self._transport = transport if transport is not None else TcpTransport()
@@ -888,7 +758,10 @@ class TeamNetMaster:
         inherit the corpse's open breaker).  Raises
         :class:`WorkerFailure` if the standby is unreachable, rejects
         the archive, or replies with garbage; the old peer state is
-        untouched in that case.
+        untouched in that case.  The push carries this master's epoch
+        like every frame it sends: a node already following a higher one
+        refuses it and this master is deposed (:class:`LeadershipLost`);
+        a master already deposed raises without dialling.
 
         The model push is metered in :attr:`redeploy_traffic`, not in
         any inference's stats.
@@ -903,6 +776,8 @@ class TeamNetMaster:
                     "redeploy needs a model blob or a checkpoint store "
                     "attached to the master (store=...)")
             blob = self.store.expert_bytes(index)
+        with self._lock:
+            self._require_leadership()
         try:
             sock = self._transport.connect(*address,
                                            timeout=self.connect_timeout)
@@ -911,23 +786,12 @@ class TeamNetMaster:
                 f"standby {address} for worker {index} is unreachable: "
                 f"{exc}") from exc
         with self._lock:
-            self._request_seq += 1
-            seq = self._request_seq
-        # One deadline for the whole ack exchange: draining a stale frame
-        # consumes part of it instead of resetting it, so a chatty standby
-        # cannot stall redeploy past ``timeout``.
-        deadline = (None if timeout is None
-                    else time.monotonic() + timeout)
+            seq = self._next_seq()
         try:
-            sock.send(protocol.encode(
-                protocol.DEPLOY, {"seq": seq},
-                {"model": np.frombuffer(blob, dtype=np.uint8)}))
-            while True:
-                remaining = (None if deadline is None
-                             else max(0.0, deadline - time.monotonic()))
-                reply = protocol.decode(sock.recv(timeout=remaining))
-                if reply.meta.get("seq") == seq:
-                    break
+            reply = exchange(sock, protocol.encode(
+                protocol.DEPLOY, self._stamp({"seq": seq}),
+                {"model": np.frombuffer(blob, dtype=np.uint8)}),
+                seq, timeout)
         except (ConnectionError, OSError, TimeoutError,
                 protocol.ProtocolError) as exc:
             # ProtocolError is a ValueError, not a ConnectionError: a
@@ -939,6 +803,8 @@ class TeamNetMaster:
                 f"deploy to standby {address} failed: {exc}") from exc
         if reply.kind != protocol.DEPLOYED:
             sock.close()
+            if reply.meta.get("stale_epoch"):
+                self._depose(reply.meta.get("epoch"), protocol.DEPLOY)
             raise WorkerFailure(
                 f"standby {address} rejected the deploy: "
                 f"{reply.meta.get('error', reply.kind)}")
@@ -946,25 +812,13 @@ class TeamNetMaster:
         sock.stats.reset()
         # Commit the rewire only after a successful ack.
         with self._lock:
-            if peer.channel is not None:
-                peer.channel.close()
-            if peer.sock is not None:
-                peer.sock.close()
+            peer.hang_up()
             peer.sock = sock
             peer.channel = ReplyDemux(sock)
             peer.address = address
             peer.health.address = address
             peer.health.redeployments += 1
-            peer.health.detector = SuspicionTracker(
-                alpha=self.resilience.ewma_alpha,
-                decay=self.resilience.success_decay,
-                threshold=self.resilience.suspicion_threshold)
-            peer.breaker = CircuitBreaker(
-                failure_threshold=self.resilience.failure_threshold,
-                reset_timeout=self.resilience.reset_timeout,
-                reset_timeout_max=self.resilience.reset_timeout_max,
-                jitter=self.resilience.backoff_jitter,
-                rng=self.resilience.breaker_rng(index))
+            peer.reset_control(self.resilience)
             if self._validator is not None:
                 # The pushed archive defines the slot's new expected
                 # version: replies from here on must stamp it, and a
@@ -994,41 +848,30 @@ class TeamNetMaster:
                 and not self.retry_budget.try_spend()):
             return False
         try:
-            blob = self.store.expert_bytes(peer.index)
-        except (NoValidGenerationError, OSError, KeyError):
+            self.redeploy(peer.index, tuple(peer.address))
+        except (NoValidGenerationError, KeyError, WorkerFailure, OSError):
             return False
-        try:
-            self.redeploy(peer.index, tuple(peer.address), blob=blob)
-        except (WorkerFailure, OSError):
-            return False
-        if self.quarantine is not None:
-            self.quarantine.note_redeploy(peer.index)
+        self.quarantine.note_redeploy(peer.index)
         return True
 
     # ------------------------------------------------------------- failure
-    def _fail(self, peer: _Peer, inference: InferenceStats,
-              timed_out: bool = False, hedged: bool = False,
-              sink: TransportStats | None = None) -> None:
+    @staticmethod
+    def _drain_stale(peer: _Peer, sink: TransportStats) -> None:
+        """Meter the stale frames ``peer``'s demux absorbed into ``sink``
+        so the traffic record stays complete.  Caller holds ``_lock``."""
+        stale, stale_bytes = peer.channel.take_stale()
+        sink.messages_received += stale
+        sink.bytes_received += stale_bytes
+
+    def _fail(self, peer: _Peer, sink: TransportStats,
+              timed_out: bool = False, hedged: bool = False) -> None:
         """Record a worker failure: salvage the stale frames its demux
-        read, close its channel and socket (a late reply on a reused
-        connection would desync the frame stream), arm the breaker and
-        bump the suspicion score.  Caller holds ``_lock``.  Stale traffic
-        is attributed to ``sink`` when given (the heartbeat ledger),
-        otherwise to ``inference``."""
+        read into ``sink``, close its channel and socket (a late reply
+        on a reused connection would desync the frame stream), arm the
+        breaker and bump the suspicion score.  Caller holds ``_lock``."""
         if peer.channel is not None:
-            stale, stale_bytes = peer.channel.take_stale()
-            if sink is not None:
-                sink.messages_received += stale
-                sink.bytes_received += stale_bytes
-            else:
-                inference.stale_replies += stale
-                inference.messages_received += stale
-                inference.bytes_received += stale_bytes
-            peer.channel.close()
-            peer.channel = None
-        if peer.sock is not None:
-            peer.sock.close()
-            peer.sock = None
+            self._drain_stale(peer, sink)
+        peer.hang_up()
         peer.health.failures += 1
         if timed_out:
             peer.health.timeouts += 1
@@ -1036,7 +879,14 @@ class TeamNetMaster:
             peer.health.hedges += 1
         peer.health.detector.miss()
         peer.breaker.record_failure()
-        inference.failures += 1
+
+    @staticmethod
+    def _distrust(peer: _Peer) -> None:
+        """Book an answer that arrived but failed an integrity check
+        (caller holds ``_lock``)."""
+        peer.health.failures += 1
+        peer.health.invalid_replies += 1
+        peer.health.detector.miss()
 
     # -------------------------------------------------------------- success
     def _record_reply(self, peer: _Peer, latency: float,
@@ -1046,9 +896,48 @@ class TeamNetMaster:
         peer.health.replies += 1
         peer.health.last_reply_latency_s = latency
         peer.health.total_reply_latency_s += latency
+        self._credit(peer, latency)
+        self._latencies.add(latency)
+
+    @staticmethod
+    def _credit(peer: _Peer, latency: float | None = None) -> None:
+        """A reply proves liveness: decay the suspicion score — feeding
+        the reply-latency EWMA only when ``latency`` is real expert
+        compute — and close a half-open breaker.  Caller holds ``_lock``."""
         peer.health.detector.observe(latency)
         peer.breaker.record_success()
-        self._latencies.add(latency)
+
+    def _next_seq(self) -> int:
+        """Caller holds ``_lock``."""
+        self._request_seq += 1
+        return self._request_seq
+
+    def _stamp(self, meta: dict) -> dict:
+        """Add this master's leadership claim to a control frame's meta."""
+        if self.epoch is not None:
+            meta["epoch"] = self.epoch
+            meta["leader"] = self.leader_id
+        return meta
+
+    def _require_leadership(self) -> None:
+        """Caller holds ``_lock``."""
+        if self._deposed:
+            raise LeadershipLost(
+                f"master {self.leader_id or ''} (epoch {self.epoch}) "
+                "has been fenced by a higher epoch")
+
+    def _depose(self, fenced_epoch, kind: str) -> None:
+        """A worker refused this master's epoch: it is deposed for good.
+
+        A stale-epoch refusal outranks every other failure mode, and
+        fires even with degradation enabled: a deposed master must not
+        keep serving "degraded" answers from whatever workers its
+        broadcasts still reach before they learn of the new leader."""
+        with self._lock:
+            self._deposed = True
+        raise LeadershipLost(
+            f"{kind!r} at epoch {self.epoch} fenced: a worker follows "
+            f"leadership epoch {fenced_epoch}")
 
     # -------------------------------------------------------------- hedging
     def _hedge_plan(self, sent: list[_Peer]) -> tuple[float | None, set[int]]:
@@ -1092,6 +981,27 @@ class TeamNetMaster:
         return delay, suspects
 
     # ----------------------------------------------------------- broadcast
+    def _send(self, peer: _Peer, request: bytes, seq: int,
+              allowance: float | None, sink: TransportStats) -> ReplySlot:
+        """The send half of every broadcast, for one peer: register the
+        reply slot *before* sending (so a fast reply can never race past
+        its waiter), send, and meter the frame into ``sink``.  A peer
+        that cannot be sent to is failed — slot withdrawn, socket
+        closed, breaker armed — and the error re-raised for the caller
+        to count.  Caller holds ``_lock``."""
+        slot = None
+        try:
+            slot = peer.channel.expect(seq, allowance)
+            peer.sock.send(request)
+        except (ConnectionError, OSError):
+            if slot is not None:
+                slot.cancel()
+            self._fail(peer, sink)
+            raise
+        sink.messages_sent += 1
+        sink.bytes_sent += FRAME_OVERHEAD_BYTES + len(request)
+        return slot
+
     def _begin(self, x: np.ndarray,
                segments: list[int] | None = None,
                deadline_budget_s: float | None = None,
@@ -1106,9 +1016,8 @@ class TeamNetMaster:
         so workers sharing a comparable clock can charge transit time
         and shed expired work before the forward.
 
-        Registers one reply slot per peer (armed with the hedge delay for
-        suspects, ``reply_timeout`` otherwise) *before* sending, so a
-        fast reply can never race past its waiter.  Returns the
+        Registers one reply slot per peer, armed with the hedge delay for
+        suspects and ``reply_timeout`` otherwise.  Returns the
         :class:`_Pending` handle that :meth:`_finish` turns into an
         answer; several may be in flight at once — the serving core's
         pipeline — as long as a single thread at a time calls ``_begin``
@@ -1117,10 +1026,7 @@ class TeamNetMaster:
         x = np.asarray(x)
         inference = InferenceStats()
         with self._lock:
-            if self._deposed:
-                raise LeadershipLost(
-                    f"master {self.leader_id or ''} (epoch {self.epoch}) "
-                    "has been fenced by a higher epoch")
+            self._require_leadership()
             self._maybe_reconnect()
             quarantined = (set(self.quarantine.quarantined())
                            if self.quarantine is not None else set())
@@ -1133,8 +1039,7 @@ class TeamNetMaster:
                     raise WorkerFailure(
                         f"workers {sorted(quarantined)} are quarantined "
                         "and degradation is disabled")
-            self._request_seq += 1
-            seq = self._request_seq
+            seq = self._next_seq()
             meta: dict = {"seq": seq}
             if self.epoch is not None:
                 meta["epoch"] = self.epoch
@@ -1171,24 +1076,17 @@ class TeamNetMaster:
             for peer in targets:
                 allowance = (hedge_delay if peer.index in hedged_set
                              else self.reply_timeout)
-                slot = None
                 try:
-                    slot = peer.channel.expect(seq, allowance)
-                    peer.sock.send(request)
+                    waits.append((peer, self._send(peer, request, seq,
+                                                   allowance, inference)))
                 except (ConnectionError, OSError) as exc:
-                    if slot is not None:
-                        slot.cancel()
-                    self._fail(peer, inference)
+                    inference.failures += 1
                     if not self.degrade_on_failure:
                         for _, pending_slot in waits:
                             pending_slot.cancel()
                         raise WorkerFailure(
                             f"worker {peer.index} failed: {exc}") from exc
-                    continue
-                inference.messages_sent += 1
-                inference.bytes_sent += FRAME_OVERHEAD_BYTES + len(request)
-                waits.append((peer, slot))
-        return _Pending(x, seq, segments, waits, inference, hedged_set)
+        return _Pending(x, waits, inference, hedged_set)
 
     # -------------------------------------------------------------- gather
     def _finish(self, pending: _Pending, local_output: ExpertOutput
@@ -1206,21 +1104,21 @@ class TeamNetMaster:
         gather_start = time.monotonic()
         results: dict[int, ExpertOutput | Exception] = {}
         fenced_epoch: int | None = None
+        answered = 0
         for peer, slot in pending.waits:
             try:
                 message, latency, nbytes = slot.wait()
+                answered += 1
                 inference.messages_received += 1
                 inference.bytes_received += nbytes
                 if message.kind == protocol.EXPIRED:
                     # The worker shed this request for deadline: load
                     # shedding, not a fault.  The reply proves liveness
-                    # (decay suspicion, close a half-open breaker) but
-                    # carries no compute latency and no gate entry.
+                    # but carries no compute latency and no gate entry.
                     with self._lock:
                         inference.expired_replies += 1
                         peer.health.expired_replies += 1
-                        peer.health.detector.observe()
-                        peer.breaker.record_success()
+                        self._credit(peer)
                     results[peer.index] = None
                     continue
                 if message.kind != protocol.RESULT:
@@ -1293,51 +1191,42 @@ class TeamNetMaster:
                 if isinstance(outcome, ExpertOutput):
                     outputs.append(outcome)
                     indices.append(peer.index)
-                elif isinstance(outcome, IntegrityViolation):
+                    continue
+                inference.failures += 1
+                if first_error is None:
+                    first_error = (peer, outcome)
+                if isinstance(outcome, IntegrityViolation):
                     # The connection is fine — the *data* lies.  Book the
                     # failure without closing the socket: the channel must
                     # stay healthy so canary probes can later readmit (or
                     # keep condemning) the slot.
-                    inference.failures += 1
                     inference.invalid_replies += 1
-                    peer.health.failures += 1
-                    peer.health.invalid_replies += 1
-                    peer.health.detector.miss()
+                    self._distrust(peer)
                     quarantine_actions.append((peer, str(outcome)))
-                    if first_error is None:
-                        first_error = (peer, outcome)
                 else:
                     self._fail(peer, inference,
                                timed_out=isinstance(outcome, TimeoutError),
                                hedged=peer.index in inference.hedged_workers)
-                    if first_error is None:
-                        first_error = (peer, outcome)
             # Stale frames the surviving demux readers absorbed during
-            # this gather: count and meter them here so the traffic
-            # ledger stays complete (failed peers were drained in _fail).
+            # this gather: meter them here so the traffic ledger stays
+            # complete (failed peers were drained in _fail).  Every frame
+            # received that was not a slot's awaited reply was stale.
             for peer, _ in pending.waits:
                 if peer.channel is not None:
-                    stale, stale_bytes = peer.channel.take_stale()
-                    inference.stale_replies += stale
-                    inference.messages_received += stale
-                    inference.bytes_received += stale_bytes
-        # Quarantine outside the lock (auto-redeploy pushes a model over
-        # the network) but before any raise below: a slot that lied must
-        # be benched even when this gather also ends in an error.
-        for peer, reason in quarantine_actions:
-            if self.quarantine is not None:
+                    self._drain_stale(peer, inference)
+            inference.stale_replies = inference.messages_received - answered
+        # Quarantine before any raise below: a slot that lied must be
+        # benched even when this gather also ends in an error.
+        if self.quarantine is not None:
+            for peer, reason in quarantine_actions:
                 self.quarantine.record_invalid(peer.index, reason)
-                self._auto_redeploy(peer)
-        # A stale-epoch refusal outranks every other failure mode, and
-        # fires even with degradation enabled: a deposed master must not
-        # keep serving "degraded" answers from whatever workers its
-        # broadcasts still reach before they learn of the new leader.
         if fenced_epoch is not None:
-            with self._lock:
-                self._deposed = True
-            raise LeadershipLost(
-                f"epoch {self.epoch} fenced: a worker has accepted "
-                f"leadership epoch {fenced_epoch}")
+            self._depose(fenced_epoch, protocol.INFER)
+        # The repair runs outside the lock (auto-redeploy pushes a model
+        # over the network) and only after the fence check: a deposed
+        # master must not push archives on its way out.
+        for peer, _ in quarantine_actions:
+            self._auto_redeploy(peer)
         if first_error is not None and not self.degrade_on_failure:
             peer, exc = first_error
             raise WorkerFailure(f"worker {peer.index} failed: {exc}") from exc
@@ -1393,7 +1282,70 @@ class TeamNetMaster:
         server.start()
         return server
 
-    # ----------------------------------------------------------- heartbeat
+    # ------------------------------------------------------ control rounds
+    def _round(self, kind: str, reply_kind: str, timeout: float | None,
+               ledger: TransportStats, arrays: dict | None = None
+               ) -> tuple[list[tuple[_Peer, protocol.Message, float]],
+                          list[_Peer]]:
+        """One control-plane broadcast round: ``kind`` out to every
+        admissible peer (alive, breaker willing — quarantined slots
+        included), one ``reply_kind`` back from each under ``timeout``
+        (default: the heartbeat timeout).
+
+        Returns ``(replies, failed)``: ``(peer, reply, latency)`` per
+        peer that answered as expected — what a good reply *means* is
+        the caller's business — and the peers that could not be sent to,
+        missed the deadline or answered anything else, now failed (socket
+        closed, breaker armed).  All traffic, stale frames included, is
+        metered in ``ledger``, not in any inference's stats.  A
+        ``stale_epoch`` refusal deposes this master.
+        """
+        if timeout is None:
+            timeout = self.resilience.heartbeat_timeout
+        replies: list[tuple[_Peer, protocol.Message, float]] = []
+        failed: list[_Peer] = []
+        with self._lock:
+            self._maybe_reconnect()
+            seq = self._next_seq()
+            request = protocol.encode(kind, self._stamp({"seq": seq}),
+                                      arrays)
+            waits: list[tuple[_Peer, ReplySlot]] = []
+            for peer in self._peers:
+                if not peer.alive or not peer.breaker.allow():
+                    continue
+                try:
+                    waits.append((peer, self._send(peer, request, seq,
+                                                   timeout, ledger)))
+                except (ConnectionError, OSError):
+                    failed.append(peer)  # _send has booked the failure
+        fenced_epoch: int | None = None
+        for peer, slot in waits:
+            timed_out = False
+            try:
+                message, latency, nbytes = slot.wait()
+            except TimeoutError:
+                timed_out = True
+            except ConnectionError:
+                pass
+            else:
+                ledger.messages_received += 1
+                ledger.bytes_received += nbytes
+                if message.kind == reply_kind:
+                    replies.append((peer, message, latency))
+                    continue
+                if message.meta.get("stale_epoch"):
+                    fenced_epoch = message.meta.get("epoch")
+            with self._lock:
+                self._fail(peer, ledger, timed_out=timed_out)
+            failed.append(peer)
+        with self._lock:
+            for peer, _ in waits:
+                if peer.channel is not None:
+                    self._drain_stale(peer, ledger)
+        if fenced_epoch is not None:
+            self._depose(fenced_epoch, kind)
+        return replies, failed
+
     def heartbeat(self, timeout: float | None = None) -> dict[int, float | None]:
         """Probe every admissible peer with a ``ping`` and collect pongs.
 
@@ -1410,84 +1362,27 @@ class TeamNetMaster:
         resurrect a peer whose socket the timeout path already closed
         (the late-pong race the per-call probe threads used to have).
         """
-        timeout = (timeout if timeout is not None
-                   else self.resilience.heartbeat_timeout)
-        scratch = InferenceStats()  # counter sink for _fail bookkeeping
+        # A leader ping renews the lease on every worker — the heartbeat
+        # loop *is* the lease renewal path.
+        pongs, _ = self._round(protocol.PING, protocol.PONG, timeout,
+                               self.heartbeat_traffic)
         rtts: dict[int, float | None] = {p.index: None for p in self._peers}
-        fenced_epoch: int | None = None
         with self._lock:
-            self._maybe_reconnect()
-            self._request_seq += 1
-            seq = self._request_seq
-            meta: dict = {"seq": seq}
-            if self.epoch is not None:
-                # A leader ping renews the lease on every worker — the
-                # heartbeat loop *is* the lease renewal path.
-                meta["epoch"] = self.epoch
-                meta["leader"] = self.leader_id
-            ping = protocol.encode(protocol.PING, meta)
-            waits: list[tuple[_Peer, ReplySlot]] = []
-            for peer in self._peers:
-                if not peer.alive or not peer.breaker.allow():
-                    continue
-                slot = None
-                try:
-                    slot = peer.channel.expect(seq, timeout)
-                    peer.sock.send(ping)
-                except (ConnectionError, OSError):
-                    if slot is not None:
-                        slot.cancel()
-                    self._fail(peer, scratch, sink=self.heartbeat_traffic)
-                    continue
-                self.heartbeat_traffic.messages_sent += 1
-                self.heartbeat_traffic.bytes_sent += \
-                    FRAME_OVERHEAD_BYTES + len(ping)
-                waits.append((peer, slot))
-        for peer, slot in waits:
-            try:
-                message, latency, nbytes = slot.wait()
-                self.heartbeat_traffic.messages_received += 1
-                self.heartbeat_traffic.bytes_received += nbytes
-                if message.kind != protocol.PONG:
-                    if message.meta.get("stale_epoch"):
-                        fenced_epoch = message.meta.get("epoch")
-                    raise WorkerFailure(
-                        f"worker {peer.index}: expected pong seq {seq}, "
-                        f"got {message.kind!r} {message.meta}")
-                pong_epoch = message.meta.get("epoch")
-                if (self.epoch is not None and pong_epoch is not None
-                        and pong_epoch > self.epoch):
-                    fenced_epoch = pong_epoch
+            for peer, _, latency in pongs:
                 rtts[peer.index] = latency
-                with self._lock:
-                    # Pongs carry no expert compute: decay the suspicion
-                    # score but leave the reply-latency EWMA untouched.
-                    peer.health.detector.observe()
-                    peer.breaker.record_success()
-            except Exception as exc:  # noqa: BLE001 - booked as a failure
-                with self._lock:
-                    self._fail(peer, scratch,
-                               timed_out=isinstance(exc, TimeoutError),
-                               sink=self.heartbeat_traffic)
-        with self._lock:
-            for peer, _ in waits:
-                if peer.channel is not None:
-                    stale, stale_bytes = peer.channel.take_stale()
-                    self.heartbeat_traffic.messages_received += stale
-                    self.heartbeat_traffic.bytes_received += stale_bytes
-        if fenced_epoch is not None:
-            with self._lock:
-                self._deposed = True
-            raise LeadershipLost(
-                f"epoch {self.epoch} fenced during heartbeat: a worker "
-                f"follows leadership epoch {fenced_epoch}")
+                # Pongs carry no expert compute: decay the suspicion
+                # score but leave the reply-latency EWMA untouched.
+                self._credit(peer)
+        newest = max((pong.meta.get("epoch") or 0 for _, pong, _ in pongs),
+                     default=0)
+        if self.epoch is not None and newest > self.epoch:
+            self._depose(newest, protocol.PING)
         # Canary probes ride the heartbeat cadence: every ``probe_every``
         # beats the known-answer batch goes out on the same wire.
         if self._prober is not None and self._prober.due():
             self.canary_probe()
         return rtts
 
-    # ------------------------------------------------------------ integrity
     def canary_probe(self, timeout: float | None = None) -> dict[int, str]:
         """Send the known-answer canary batch to every reachable worker.
 
@@ -1507,62 +1402,12 @@ class TeamNetMaster:
                 "canary_probe() needs integrity=IntegrityConfig(...) and "
                 "a canary set (canaries=... or a checkpoint store that "
                 "holds one)")
-        timeout = (timeout if timeout is not None
-                   else self.reply_timeout
-                   if self.reply_timeout is not None
-                   else self.resilience.heartbeat_timeout)
-        scratch = InferenceStats()
-        outcomes: dict[int, str] = {}
-        fenced_epoch: int | None = None
-        with self._lock:
-            self._maybe_reconnect()
-            self._request_seq += 1
-            seq = self._request_seq
-            meta: dict = {"seq": seq}
-            if self.epoch is not None:
-                meta["epoch"] = self.epoch
-                meta["leader"] = self.leader_id
-            request = protocol.encode(protocol.CANARY, meta,
-                                      {"x": self._prober.canaries.x})
-            waits: list[tuple[_Peer, ReplySlot]] = []
-            for peer in self._peers:
-                # Quarantined slots ARE probed (unlike broadcasts): the
-                # canary verdict is what readmits or keeps benching them.
-                if not peer.alive or not peer.breaker.allow():
-                    continue
-                slot = None
-                try:
-                    slot = peer.channel.expect(seq, timeout)
-                    peer.sock.send(request)
-                except (ConnectionError, OSError):
-                    if slot is not None:
-                        slot.cancel()
-                    self._fail(peer, scratch, sink=self.canary_traffic)
-                    outcomes[peer.index] = "unreachable"
-                    continue
-                self.canary_traffic.messages_sent += 1
-                self.canary_traffic.bytes_sent += \
-                    FRAME_OVERHEAD_BYTES + len(request)
-                waits.append((peer, slot))
-        quarantine_actions: list[tuple[_Peer, str]] = []
-        for peer, slot in waits:
-            try:
-                message, latency, nbytes = slot.wait()
-                self.canary_traffic.messages_received += 1
-                self.canary_traffic.bytes_received += nbytes
-                if message.kind != protocol.RESULT:
-                    if message.meta.get("stale_epoch"):
-                        fenced_epoch = message.meta.get("epoch")
-                    raise WorkerFailure(
-                        f"canary: error reply: "
-                        f"{message.meta.get('error', message.kind)}")
-            except Exception as exc:  # noqa: BLE001 - booked as a failure
-                with self._lock:
-                    self._fail(peer, scratch,
-                               timed_out=isinstance(exc, TimeoutError),
-                               sink=self.canary_traffic)
-                outcomes[peer.index] = "unreachable"
-                continue
+        results, failed = self._round(
+            protocol.CANARY, protocol.RESULT,
+            timeout if timeout is not None else self.reply_timeout,
+            self.canary_traffic, arrays={"x": self._prober.canaries.x})
+        outcomes = {peer.index: "unreachable" for peer in failed}
+        for peer, message, latency in results:
             with self._lock:
                 expected = self._expected_versions.get(peer.index)
             reason = self._prober.evaluate(
@@ -1576,33 +1421,14 @@ class TeamNetMaster:
                     # A passing canary is a real forward pass: it closes
                     # half-open breakers and decays suspicion, the same
                     # re-admission probes heartbeats provide.
-                    peer.health.detector.observe(latency)
-                    peer.breaker.record_success()
-                readmitted = (self.quarantine.record_canary_pass(peer.index)
-                              if self.quarantine is not None else False)
+                    self._credit(peer, latency)
+                readmitted = self.quarantine.record_canary_pass(peer.index)
                 outcomes[peer.index] = "readmitted" if readmitted else "pass"
-            else:
-                with self._lock:
-                    peer.health.failures += 1
-                    peer.health.invalid_replies += 1
-                    peer.health.detector.miss()
-                quarantine_actions.append((peer, reason))
-                outcomes[peer.index] = reason
-        with self._lock:
-            for peer, _ in waits:
-                if peer.channel is not None:
-                    stale, stale_bytes = peer.channel.take_stale()
-                    self.canary_traffic.messages_received += stale
-                    self.canary_traffic.bytes_received += stale_bytes
-        if fenced_epoch is not None:
+                continue
             with self._lock:
-                self._deposed = True
-            raise LeadershipLost(
-                f"epoch {self.epoch} fenced during canary probe: a worker "
-                f"follows leadership epoch {fenced_epoch}")
-        for peer, reason in quarantine_actions:
-            if self.quarantine is not None:
-                self.quarantine.record_canary_failure(peer.index, reason)
+                self._distrust(peer)
+            outcomes[peer.index] = reason
+            self.quarantine.record_canary_failure(peer.index, reason)
             # Every canary failure retries the repair — this *is* the
             # redeploy retry policy for a persistently sick slot.
             self._auto_redeploy(peer)
@@ -1639,66 +1465,13 @@ class TeamNetMaster:
         if self.epoch is None:
             raise ValueError("attach() needs a master with a leadership "
                              "epoch (epoch=...)")
-        timeout = (timeout if timeout is not None
-                   else self.resilience.heartbeat_timeout)
-        scratch = InferenceStats()
+        attached, _ = self._round(protocol.ATTACH, protocol.ATTACHED,
+                                  timeout, self.heartbeat_traffic)
         acks: dict[int, bool] = {p.index: False for p in self._peers}
-        fenced_epoch: int | None = None
         with self._lock:
-            self._maybe_reconnect()
-            self._request_seq += 1
-            seq = self._request_seq
-            request = protocol.encode(protocol.ATTACH, {
-                "seq": seq, "epoch": self.epoch, "leader": self.leader_id})
-            waits: list[tuple[_Peer, ReplySlot]] = []
-            for peer in self._peers:
-                if not peer.alive or not peer.breaker.allow():
-                    continue
-                slot = None
-                try:
-                    slot = peer.channel.expect(seq, timeout)
-                    peer.sock.send(request)
-                except (ConnectionError, OSError):
-                    if slot is not None:
-                        slot.cancel()
-                    self._fail(peer, scratch, sink=self.heartbeat_traffic)
-                    continue
-                self.heartbeat_traffic.messages_sent += 1
-                self.heartbeat_traffic.bytes_sent += \
-                    FRAME_OVERHEAD_BYTES + len(request)
-                waits.append((peer, slot))
-        for peer, slot in waits:
-            try:
-                message, _, nbytes = slot.wait()
-                self.heartbeat_traffic.messages_received += 1
-                self.heartbeat_traffic.bytes_received += nbytes
-                if message.kind != protocol.ATTACHED:
-                    if message.meta.get("stale_epoch"):
-                        fenced_epoch = message.meta.get("epoch")
-                    raise WorkerFailure(
-                        f"worker {peer.index} refused attach: "
-                        f"{message.meta.get('error', message.kind)}")
+            for peer, _, _ in attached:
                 acks[peer.index] = True
-                with self._lock:
-                    peer.health.detector.observe()
-                    peer.breaker.record_success()
-            except Exception as exc:  # noqa: BLE001 - booked as a failure
-                with self._lock:
-                    self._fail(peer, scratch,
-                               timed_out=isinstance(exc, TimeoutError),
-                               sink=self.heartbeat_traffic)
-        with self._lock:
-            for peer, _ in waits:
-                if peer.channel is not None:
-                    stale, stale_bytes = peer.channel.take_stale()
-                    self.heartbeat_traffic.messages_received += stale
-                    self.heartbeat_traffic.bytes_received += stale_bytes
-        if fenced_epoch is not None:
-            with self._lock:
-                self._deposed = True
-            raise LeadershipLost(
-                f"attach at epoch {self.epoch} fenced: a worker follows "
-                f"leadership epoch {fenced_epoch}")
+                self._credit(peer)
         # Taking (or re-taking) leadership is a membership event: persist
         # the roster under the new epoch and push the delta to standbys.
         self._roster_changed()
@@ -1718,8 +1491,7 @@ class TeamNetMaster:
         provisioning, like model pushes).
         """
         with self._lock:
-            self._request_seq += 1
-            seq = self._request_seq
+            seq = self._next_seq()
             self._roster_version += 1
             message = protocol.encode(protocol.ROSTER, {
                 "seq": seq, "epoch": self.epoch,
@@ -1732,22 +1504,14 @@ class TeamNetMaster:
 
     def _push_roster(self, address, message: bytes, seq: int,
                      timeout: float | None) -> bool:
-        deadline = (None if timeout is None
-                    else time.monotonic() + timeout)
         try:
             sock = self._transport.connect(*address,
                                            timeout=self.connect_timeout)
         except (ConnectionError, OSError):
             return False
         try:
-            sock.send(message)
-            while True:
-                remaining = (None if deadline is None
-                             else max(0.0, deadline - time.monotonic()))
-                reply = protocol.decode(sock.recv(timeout=remaining))
-                if reply.meta.get("seq") == seq:
-                    break
-            return reply.kind == protocol.ROSTER_OK
+            return exchange(sock, message, seq,
+                            timeout).kind == protocol.ROSTER_OK
         except (ConnectionError, OSError, TimeoutError,
                 protocol.ProtocolError):
             return False
@@ -1770,23 +1534,29 @@ class TeamNetMaster:
 
     def close(self) -> None:
         for peer in self._peers:
-            if peer.channel is not None:
-                peer.channel.close()
-                peer.channel = None
-            if peer.sock is None:
-                continue
-            try:
-                peer.sock.send(protocol.encode(protocol.SHUTDOWN))
-            except (ConnectionError, OSError):
-                pass
-            peer.sock.close()
-            peer.sock = None
+            if peer.sock is not None:
+                try:
+                    peer.sock.send(protocol.encode(protocol.SHUTDOWN))
+                except (ConnectionError, OSError):
+                    pass
+            peer.hang_up()
+
+
+def deployed_versions(experts: list[Module],
+                      integrity: IntegrityConfig | None
+                      ) -> dict[int, str] | None:
+    """The ``expected_versions`` of a team whose workers are handed
+    ``experts[1:]`` directly: fingerprinted from the live experts at
+    deploy time, so they are authoritative from the first reply and any
+    later weight swap on a worker is fenced.  None without ``integrity``."""
+    if integrity is None:
+        return None
+    return {index: weights_fingerprint(expert)
+            for index, expert in enumerate(experts[1:], start=1)}
 
 
 def deploy_local_team(experts: list[Module], degrade_on_failure: bool = False,
                       reply_timeout: float | None = None,
-                      reconnect_backoff: float = 0.25,
-                      reconnect_backoff_max: float = 5.0,
                       transport: Transport | None = None, host: str = "127.0.0.1",
                       resilience: ResilienceConfig | None = None,
                       degradation: DegradationPolicy | None = None,
@@ -1815,24 +1585,16 @@ def deploy_local_team(experts: list[Module], degrade_on_failure: bool = False,
                               engine=engine)
         worker.start()
         workers.append(worker)
-    expected_versions = None
-    if integrity is not None:
-        # This deployment hands each worker its expert directly, so the
-        # deploy-time fingerprints are authoritative from the first reply.
-        expected_versions = {index: weights_fingerprint(expert)
-                             for index, expert in enumerate(experts)
-                             if index >= 1}
     master = TeamNetMaster(experts[0], [w.address for w in workers],
                            degrade_on_failure=degrade_on_failure,
                            reply_timeout=reply_timeout,
-                           reconnect_backoff=reconnect_backoff,
-                           reconnect_backoff_max=reconnect_backoff_max,
                            transport=transport,
                            resilience=resilience,
                            degradation=degradation,
                            engine=engine,
                            integrity=integrity,
                            canaries=canaries,
-                           expected_versions=expected_versions,
+                           expected_versions=deployed_versions(experts,
+                                                               integrity),
                            store=store)
     return master, workers

@@ -17,8 +17,9 @@ import threading
 import numpy as np
 
 from ..distributed.failover import StandbyMaster
-from ..distributed.resilience import LeaseConfig
-from ..distributed.teamnet_runtime import ExpertWorker, TeamNetMaster
+from ..distributed.resilience import LeaseConfig, ResilienceConfig
+from ..distributed.teamnet_runtime import (ExpertWorker, TeamNetMaster,
+                                           deployed_versions)
 from ..nn import Module, weights_fingerprint
 from .faults import FaultSchedule
 from .sim_transport import SimNetwork
@@ -29,22 +30,21 @@ __all__ = ["SimCluster", "SimFailoverCluster"]
 class SimCluster:
     """Expert 0 as master, the rest as simulated workers.
 
-    ``reconnect_backoff`` defaults to 0 so a tripped circuit breaker
-    admits its half-open probe immediately and a restarted worker rejoins
-    on the very next inference (the breaker's open window is real time,
-    which a simulation should not wait on).  ``reply_timeout`` stays a
+    ``resilience`` defaults to ``ResilienceConfig(reset_timeout=0.0)`` so
+    a tripped circuit breaker admits its half-open probe immediately and
+    a restarted worker rejoins on the very next inference (the breaker's
+    open window is real time, which a simulation should not wait on); a
+    caller-supplied config is used as given.  ``reply_timeout`` stays a
     *real* backstop for in-process compute, but scripted latency and
     drops resolve against it virtually — a fully-faulted gather returns
-    in microseconds, not after the deadline.  ``resilience`` /
-    ``degradation`` pass through to the master (hedging, breaker
-    thresholds, quorum policy).
+    in microseconds, not after the deadline.  ``degradation`` passes
+    through to the master (quorum policy).
     """
 
     def __init__(self, experts: list[Module],
                  schedule: FaultSchedule | None = None, *,
                  degrade_on_failure: bool = True,
                  reply_timeout: float | None = 1.0,
-                 reconnect_backoff: float = 0.0,
                  resilience=None, degradation=None,
                  host: str = "sim", engine: str = "tape",
                  integrity=None, canaries=None, store=None,
@@ -60,15 +60,6 @@ class SimCluster:
         clock = lambda: self.network.clock.now  # noqa: E731
         self._clock_fn = clock
         self.workers: list[ExpertWorker] = []
-        self._listeners = []
-        expected_versions = None
-        if integrity is not None:
-            # Fingerprint the live experts at deploy time: any later
-            # weight swap on a worker answers under a different version
-            # and is fenced by the master's validator.
-            expected_versions = {
-                index: weights_fingerprint(expert)
-                for index, expert in enumerate(self.experts) if index >= 1}
         try:
             for expert in self.experts[1:]:
                 worker = ExpertWorker(expert, host=host,
@@ -80,11 +71,12 @@ class SimCluster:
                 self.experts[0], [w.address for w in self.workers],
                 degrade_on_failure=degrade_on_failure,
                 reply_timeout=reply_timeout,
-                reconnect_backoff=reconnect_backoff,
                 transport=self.network.transport,
-                resilience=resilience, degradation=degradation,
+                resilience=resilience or ResilienceConfig(reset_timeout=0.0),
+                degradation=degradation,
                 engine=engine, integrity=integrity, canaries=canaries,
-                expected_versions=expected_versions, store=store,
+                expected_versions=deployed_versions(self.experts, integrity),
+                store=store,
                 retry_budget=retry_budget, clock=clock)
         except BaseException:
             self.close()
@@ -123,7 +115,7 @@ class SimCluster:
         master's): stop its listener *and* sever every connection it
         accepted, as a process death would."""
         worker = self._worker(index)
-        listener = worker._listener  # grab before stop() drops it
+        listener = worker._server.listener  # grab before stop() drops it
         worker.stop()
         if listener is not None:
             listener.kill_connections()
@@ -209,8 +201,9 @@ class SimFailoverCluster:
         self.promoted: TeamNetMaster | None = None
         self._master_kwargs = dict(
             degrade_on_failure=degrade_on_failure,
-            reply_timeout=reply_timeout, reconnect_backoff=0.0,
-            transport=self.network.transport, resilience=resilience,
+            reply_timeout=reply_timeout,
+            transport=self.network.transport,
+            resilience=resilience or ResilienceConfig(reset_timeout=0.0),
             degradation=degradation, store=store, engine=engine)
         try:
             for expert in self.experts[1:]:
@@ -261,12 +254,7 @@ class SimFailoverCluster:
         master = self.primary
         with master._lock:
             for peer in master._peers:
-                if peer.channel is not None:
-                    peer.channel.close()
-                    peer.channel = None
-                if peer.sock is not None:
-                    peer.sock.close()
-                    peer.sock = None
+                peer.hang_up()
         return self.network.clock.now
 
     def expire_lease(self, slack: float = 1e-3) -> float:

@@ -82,3 +82,37 @@ class TestCalls:
             client.call("echo", {"x": 1})
             assert client.stats.messages_sent == 1
             assert client.stats.messages_received == 1
+
+
+class TestServerLifecycle:
+    """Regressions: RpcServer used to own a copy of the accept/serve
+    scaffolding without the worker's leak fixes."""
+
+    def test_stop_leaves_no_serve_thread_with_clients_connected(self):
+        server = RpcServer()
+        server.register("echo", lambda meta, arrays: (meta, arrays))
+        server.start()
+        clients = [RpcClient(*server.address) for _ in range(5)]
+        try:
+            for client in clients:
+                client.call("echo")
+            threads = list(server._server._threads)
+            assert len(threads) >= 5
+            server.stop()
+            # Each serve thread sat in a timeout-less recv on a client
+            # that never hangs up; stop() must unblock it.
+            for thread in threads:
+                thread.join(timeout=2.0)
+            assert not any(thread.is_alive() for thread in threads)
+        finally:
+            for client in clients:
+                client.close()
+            server.stop()
+
+    def test_thread_list_stays_bounded(self, echo_server):
+        for i in range(50):
+            with RpcClient(*echo_server.address) as client:
+                client.call("echo", {"i": i})
+        # Finished connection threads are reaped on accept, not kept one
+        # per client ever served.
+        assert len(echo_server._server._threads) <= 3

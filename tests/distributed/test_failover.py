@@ -16,6 +16,8 @@ import pytest
 from repro.comm import protocol
 from repro.comm.demux import ChannelDead
 from repro.core import TeamNetTrainer, TrainerConfig
+from repro.distributed import (CanaryProber, IntegrityConfig,
+                               make_canary_set)
 from repro.distributed.failover import (REDRIVE_ERRORS, FailoverServer,
                                         LeaseView, MasterFailover,
                                         StandbyMaster, TransportRing,
@@ -23,8 +25,10 @@ from repro.distributed.failover import (REDRIVE_ERRORS, FailoverServer,
 from repro.distributed.resilience import LeaderLease, LeaseConfig
 from repro.distributed.serving import (ServeFuture, ServerClosed,
                                        ServerOverloaded)
-from repro.distributed.teamnet_runtime import LeadershipLost, WorkerFailure
-from repro.nn import MLP, build_model, downsize, mlp_spec
+from repro.distributed.teamnet_runtime import (ExpertWorker, LeadershipLost,
+                                               TeamNetMaster, WorkerFailure)
+from repro.nn import (MLP, build_model, downsize, mlp_spec,
+                      model_to_bytes)
 from repro.store import CheckpointStore
 from repro.testkit import SimFailoverCluster, SimNetwork, forbid_sockets
 
@@ -165,27 +169,104 @@ class TestLeaseObservation:
 
 
 class TestFencing:
-    def test_promotion_deposes_the_old_primary(self):
+    # Every frame a master sends carries its epoch, so whatever a zombie
+    # primary does next — not just a broadcast — must depose it and
+    # leave the workers exactly as the new leader has them.
+    ZOMBIE_ACTIONS = {
+        "infer": lambda zombie, x, worker, blob: zombie.infer(x),
+        "heartbeat": lambda zombie, x, worker, blob: zombie.heartbeat(),
+        "canary_probe": lambda zombie, x, worker, blob:
+            zombie.canary_probe(),
+        "attach": lambda zombie, x, worker, blob: zombie.attach(),
+        "redeploy": lambda zombie, x, worker, blob:
+            zombie.redeploy(1, worker.address, blob=blob),
+    }
+
+    @pytest.mark.parametrize("action", sorted(ZOMBIE_ACTIONS))
+    def test_promotion_deposes_the_old_primary(self, action):
         with forbid_sockets(), \
                 SimFailoverCluster(make_experts()) as cluster:
             x = requests_for(cluster.experts, 1)[0]
-            golden = cluster.primary.infer(x)
+            zombie = cluster.primary
+            golden = zombie.infer(x)
+            # SimFailoverCluster arms no integrity layer; the zombie
+            # needs a prober only so canary_probe() has a batch to send.
+            zombie._prober = CanaryProber(
+                IntegrityConfig(), make_canary_set(cluster.experts, x))
+            # A *different* expert: were the push accepted, the worker's
+            # fingerprint would change.
+            spec = mlp_spec(depth=1, in_shape=(10,), num_classes=3, width=6)
+            blob = model_to_bytes(
+                build_model(spec, np.random.default_rng(77)), spec)
             # Detection precedes promotion: the poll is what teaches the
             # standby the epoch it must outbid.
             cluster.standby.poll()
             promoted = cluster.promote()
             assert promoted.epoch == 2
-            # The zombie keeps its connections, but every broadcast now
-            # carries a fenced epoch: workers reject it as stale.
+
+            def worker_state():
+                return [(w.fingerprint, w.leader_view()[:2],
+                         w.lease.renewed_at) for w in cluster.workers]
+
+            before = worker_state()
+            assert all(view == ("standby-0", 2) for _, view, _ in before)
+            # The zombie keeps its connections, but everything it sends
+            # now carries a fenced epoch: workers reject it as stale.
             with pytest.raises(LeadershipLost):
-                cluster.primary.infer(x)
-            assert cluster.primary.deposed
-            # Deposition is permanent — no amount of retrying recovers.
+                self.ZOMBIE_ACTIONS[action](zombie, x, cluster.workers[0],
+                                            blob)
+            assert zombie.deposed
+            assert worker_state() == before
+            # Deposition is permanent — no amount of retrying recovers,
+            # and a deposed master does not even dial for a redeploy.
+            dials = cluster.network.connections_opened
             with pytest.raises(LeadershipLost):
-                cluster.primary.infer(x)
+                zombie.infer(x)
+            with pytest.raises(LeadershipLost):
+                zombie.redeploy(1, cluster.workers[0].address, blob=blob)
+            assert cluster.network.connections_opened == dials
+            assert worker_state() == before
             preds, winner, _ = promoted.infer(x)
             assert preds.tobytes() == golden[0].tobytes()
             assert winner.tobytes() == golden[1].tobytes()
+
+    def test_fenced_gather_repairs_nothing_on_its_way_out(self, tmp_path):
+        spec = mlp_spec(depth=1, in_shape=(10,), num_classes=3, width=6)
+        experts = [build_model(spec, np.random.default_rng(i))
+                   for i in range(3)]
+        store = CheckpointStore(tmp_path, fsync=False)
+        store.save_experts(experts, spec)
+        x = requests_for(experts, 1)[0]
+        with forbid_sockets():
+            network = SimNetwork()
+            workers = [ExpertWorker(expert, host="sim",
+                                    transport=network.transport)
+                       for expert in experts[1:]]
+            for worker in workers:
+                worker.start()
+            # Worker 1's honest reply fails the version fence (the
+            # expectation is wrong on purpose), so the gather wants to
+            # quarantine and repair it; worker 2 already follows a rival.
+            master = TeamNetMaster(
+                experts[0], [w.address for w in workers], epoch=1,
+                leader_id="primary", degrade_on_failure=True,
+                reply_timeout=1.0, transport=network.transport, store=store,
+                integrity=IntegrityConfig(),
+                expected_versions={1: "not-the-deployed-version"})
+            try:
+                workers[1].lease.renew("rival", 5, now=0.0)
+                deployed = workers[0].fingerprint
+                with pytest.raises(LeadershipLost):
+                    master.infer(x)
+                # Benched, but a deposed master pushes no archive.
+                assert master.quarantine.is_quarantined(1)
+                assert master.redeploy_traffic.messages_sent == 0
+                assert master.worker_health[1].redeployments == 0
+                assert workers[0].fingerprint == deployed
+            finally:
+                master.close()
+                for worker in workers:
+                    worker.stop()
 
     def test_stale_attach_raises_leadership_lost(self):
         with forbid_sockets(), \

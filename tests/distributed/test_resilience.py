@@ -180,7 +180,7 @@ class TestBreakerOnWire:
             assert peer.breaker.state == "open"
 
             def worker_rx_bytes():
-                listener = cluster.workers[0]._listener
+                listener = cluster.workers[0]._server.listener
                 return sum(ep.stats.bytes_received
                            for ep in listener._accepted)
 

@@ -100,7 +100,7 @@ class TestWorkerStopReleasesConnections:
                     reply = protocol.decode(sock.recv(timeout=2.0))
                     assert reply.kind == protocol.RESULT
                     worker.stop()
-                    assert worker._threads == []
+                    assert worker._server._threads == []
             finally:
                 for sock in clients:
                     sock.close()
@@ -111,3 +111,55 @@ class TestWorkerStopReleasesConnections:
                    and time.monotonic() < deadline):
                 time.sleep(0.02)
             assert threading.active_count() <= baseline
+
+
+class TestWorkerFence:
+    """The worker's one epoch fence covers every kind a master sends —
+    DEPLOY included, which used to swap the expert for anyone."""
+
+    def test_every_epoch_carrying_kind_is_fenced_and_serving_continues(self):
+        experts, x = strategies.expert_team(strategies.rng_from(7, 1))
+        with forbid_sockets():
+            network = SimNetwork()
+            worker = ExpertWorker(experts[1], host="sim",
+                                  transport=network.transport)
+            worker.start()
+            sock = network.transport.connect(*worker.address)
+
+            def ask(kind, meta, arrays=None):
+                sock.send(protocol.encode(kind, meta, arrays))
+                return protocol.decode(sock.recv(timeout=2.0))
+
+            try:
+                # An observer ping (no epoch) reads the lease, renews
+                # nothing.
+                assert ask(protocol.PING, {"seq": 1}).kind == protocol.PONG
+                assert worker.leader_view() == (None, 0, None)
+                attached = ask(protocol.ATTACH,
+                               {"seq": 2, "epoch": 3, "leader": "new"})
+                assert attached.kind == protocol.ATTACHED
+                installed = worker.fingerprint
+                stale = {"epoch": 2, "leader": "old"}
+                for seq, (kind, arrays) in enumerate((
+                        (protocol.PING, None), (protocol.ATTACH, None),
+                        (protocol.INFER, {"x": x}),
+                        (protocol.CANARY, {"x": x}),
+                        (protocol.DEPLOY, {"model": x})), start=10):
+                    refused = ask(kind, {"seq": seq, **stale}, arrays)
+                    assert refused.kind == protocol.ERROR
+                    assert refused.meta["stale_epoch"] is True
+                    assert refused.meta["epoch"] == 3
+                    assert refused.meta["seq"] == seq
+                assert worker.leader_view()[:2] == ("new", 3)
+                assert worker.fingerprint == installed
+                # A bad input costs an error reply, not the connection.
+                broken = ask(protocol.INFER, {"seq": 20, "epoch": 3})
+                assert broken.kind == protocol.ERROR
+                assert broken.meta["error"].startswith("inference: ")
+                assert broken.meta["seq"] == 20
+                good = ask(protocol.INFER, {"seq": 21, "epoch": 3}, {"x": x})
+                assert good.kind == protocol.RESULT
+                assert good.meta["model_version"] == installed
+            finally:
+                sock.close()
+                worker.stop()
