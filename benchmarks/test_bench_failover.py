@@ -14,10 +14,8 @@ Writes the sweep to ``BENCH_failover.json`` (override the path with
 ``recovery_budget_s``.
 """
 
-import json
-import os
-
 import numpy as np
+from conftest import write_bench_json
 
 from repro.distributed.failover import FailoverServer, MasterFailover
 from repro.distributed.resilience import LeaseConfig
@@ -25,7 +23,6 @@ from repro.nn import MLP
 from repro.testkit import (FaultSchedule, LinkFaults, SimFailoverCluster,
                            forbid_sockets)
 
-OUT_PATH = os.environ.get("FAILOVER_BENCH_JSON", "BENCH_failover.json")
 TEAM = 3
 FEATURES = 10
 SETTLED_REQUESTS = 4   # answered before the kill
@@ -118,12 +115,11 @@ def test_bench_failover_recovery():
         / worst["recovery_budget_s"],
         "sweep": sweep,
     }
-    with open(OUT_PATH, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2)
+    path = write_bench_json("failover", payload)
     print(f"\nworst recovery {worst['recovery_s'] * 1000:.1f} ms of "
           f"{worst['recovery_budget_s'] * 1000:.0f} ms budget "
           f"(lease {worst['lease_duration_s']} s, latency "
-          f"{worst['link_latency_s']}) -> {OUT_PATH}")
+          f"{worst['link_latency_s']}) -> {path}")
 
     for row in sweep:
         # The gate: the whole kill-to-last-answer window fits inside the

@@ -15,12 +15,10 @@ Writes the sweep to ``BENCH_integrity.json`` (override the path with
 ``INTEGRITY_BENCH_JSON``) and gates every round on the probe budgets.
 """
 
-import json
-import os
+from conftest import write_bench_json
 
 from repro.testkit import forbid_sockets, integrity_round
 
-OUT_PATH = os.environ.get("INTEGRITY_BENCH_JSON", "BENCH_integrity.json")
 SEEDS = (0, 1)
 ROUNDS_PER_SEED = 6
 #: probe_every=1, so detection must land within a couple of heartbeats
@@ -54,12 +52,11 @@ def test_bench_integrity_detection_latency():
         "baseline_divergences": baseline_divergences,
         "rounds": rows,
     }
-    with open(OUT_PATH, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2)
+    path = write_bench_json("integrity", payload)
     print(f"\n{len(rows)} rounds over {modes}: worst detection "
           f"{worst_detect} probe(s), worst recovery {worst_recovery} "
           f"probe(s); unprotected baseline diverged on "
-          f"{baseline_divergences} answers -> {OUT_PATH}")
+          f"{baseline_divergences} answers -> {path}")
 
     # Every corruption mode must actually have been exercised.
     assert set(modes) == {"sharpen", "bitflip", "stale-reconnect"}, modes

@@ -14,13 +14,13 @@ the full per-phase goodput trajectory for both runs to
 ``BENCH_overload.json`` (override with ``OVERLOAD_BENCH_JSON``).
 """
 
-import json
 import os
+
+from conftest import write_bench_json
 
 from repro.testkit import forbid_sockets
 from repro.testkit.overload import overload_round
 
-OUT_PATH = os.environ.get("OVERLOAD_BENCH_JSON", "BENCH_overload.json")
 SEEDS = tuple(int(s) for s in
               os.environ.get("OVERLOAD_BENCH_SEEDS", "0,1,2").split(","))
 #: the protected run must keep this fraction of warm goodput in burst
@@ -57,13 +57,12 @@ def test_bench_overload_goodput():
         "worst_baseline_recover_ratio": round(worst_collapse, 4),
         "rounds": rows,
     }
-    with open(OUT_PATH, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2)
+    path = write_bench_json("overload", payload)
     print(f"\n{len(rows)} seeds: protected kept >= "
           f"{worst_burst:.0%} of warm goodput through the burst and "
           f"{worst_recover:.0%} through recovery; unprotected baseline "
           f"recovered only {worst_collapse:.0%} of protected goodput "
-          f"-> {OUT_PATH}")
+          f"-> {path}")
 
     for row in rows:
         warm = row["protected"]["warm"]["goodput_rps"]

@@ -13,19 +13,11 @@
 #       soak per seed in CHAOS_SEEDS (default "0 1 2 3"), CHAOS_ROUNDS
 #       rounds each (default 60); a failing round writes its fault
 #       schedule to CHAOS_REPRO_DIR (default .chaos-repro/).
-#   scripts/ci.sh --serve                    # serving throughput gate:
-#       the open-loop micro-batched serving bench against a real 4-expert
-#       localhost team at smoke scale (SERVE_BENCH_DURATION, default 1.0s
-#       per offered rate); asserts >= 5x the synchronous request rate at
-#       bounded p95 and writes the rps/latency trajectory to
-#       BENCH_throughput.json (path override: SERVE_BENCH_JSON).
 #   scripts/ci.sh --fastpath                 # compiled fast-path gate:
-#       the executor/int8 differential suites for each seed in
-#       TESTKIT_SEEDS (default "0 1 2"; failing cases leave repro JSONs
-#       in TESTKIT_REPRO_DIR), then the single-expert throughput bench,
-#       asserting >= 3x compiled and int8 speedup over the tape and
-#       writing the trajectory + per-op tables to BENCH_fastpath.json
-#       (path override: FASTPATH_BENCH_JSON).
+#       the executor-vs-tape and serving differential suites for each
+#       seed in TESTKIT_SEEDS (default "0 1 2"; failing cases leave repro
+#       JSONs in TESTKIT_REPRO_DIR).  Speed is the bench's job
+#       (--bench), not this gate's.
 #   scripts/ci.sh --crash                    # durability soak: seeded
 #       kill-during-checkpoint / torn-file / bit-exact-resume rounds, one
 #       soak per seed in CRASH_SEEDS (default "0 1 2 3"), CRASH_ROUNDS
@@ -85,8 +77,7 @@ export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 # One row per mode: a seeded sweep over test paths, then an optional
 # follow-up command.  Columns, '|'-separated:
 #   sweep label | PREFIX | default seeds | default repro dir |
-#   default rounds | test paths | follow-up label |
-#   follow-up "VAR=default" exports | follow-up
+#   default rounds | test paths | follow-up label | follow-up
 # PREFIX names the knobs: the sweep runs once per seed in ${PREFIX}_SEEDS
 # with ${PREFIX}_SEED exported, ${PREFIX}_ROUNDS rounds each, failing
 # rounds leaving repro artifacts in ${PREFIX}_REPRO_DIR.  A row without a
@@ -95,21 +86,20 @@ export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 # arguments are pytest's, so it gets them too); anything else is a
 # command run as written.
 declare -A MODES=(
-    [--testkit]="testkit sweep|TESTKIT|0 1 2|.testkit-repro||tests/testkit|||"
-    [--chaos]="chaos soak|CHAOS|0 1 2 3|.chaos-repro|60|tests/testkit/test_chaos.py|||"
-    [--serve]="||||||serving bench: >= 5x the synchronous request rate|SERVE_BENCH_DURATION=1.0 SERVE_BENCH_JSON=BENCH_throughput.json|benchmarks/test_bench_serving.py"
-    [--fastpath]="fast-path differential|TESTKIT|0 1 2|.testkit-repro||tests/nn/test_executor_differential.py tests/testkit/test_serving_differential.py|fast-path bench: >= 3x compiled/int8 over tape|FASTPATH_BENCH_JSON=BENCH_fastpath.json|benchmarks/test_bench_fastpath.py"
-    [--crash]="crash soak|CRASH|0 1 2 3|.crash-repro|25|tests/testkit/test_crash.py|||"
-    [--failover]="failover soak|FAILOVER|0 1 2|.testkit-repro|10|tests/testkit/test_failover.py|failover bench: recovery within the lease budget|FAILOVER_BENCH_JSON=BENCH_failover.json|benchmarks/test_bench_failover.py"
-    [--integrity]="integrity soak|INTEGRITY|0 1 2|.testkit-repro|8|tests/testkit/test_integrity.py tests/distributed/test_integrity.py|integrity bench: detection within the probe budget|INTEGRITY_BENCH_JSON=BENCH_integrity.json|benchmarks/test_bench_integrity.py"
-    [--overload]="overload soak|OVERLOAD|0 1 2|.testkit-repro|3|tests/testkit/test_overload.py tests/distributed/test_overload.py|overload bench: goodput floor under a 10x burst|OVERLOAD_BENCH_JSON=BENCH_overload.json|benchmarks/test_bench_overload.py"
-    [--bench]="bench harness unit tests|||||bench/tests|bench smoke: all five workloads once, answers checked||python3 -m bench run --smoke"
+    [--testkit]="testkit sweep|TESTKIT|0 1 2|.testkit-repro||tests/testkit||"
+    [--chaos]="chaos soak|CHAOS|0 1 2 3|.chaos-repro|60|tests/testkit/test_chaos.py||"
+    [--fastpath]="fast-path differential|TESTKIT|0 1 2|.testkit-repro||tests/nn/test_executor_differential.py tests/testkit/test_serving_differential.py||"
+    [--crash]="crash soak|CRASH|0 1 2 3|.crash-repro|25|tests/testkit/test_crash.py||"
+    [--failover]="failover soak|FAILOVER|0 1 2|.testkit-repro|10|tests/testkit/test_failover.py|failover bench: recovery within the lease budget|benchmarks/test_bench_failover.py"
+    [--integrity]="integrity soak|INTEGRITY|0 1 2|.testkit-repro|8|tests/testkit/test_integrity.py tests/distributed/test_integrity.py|integrity bench: detection within the probe budget|benchmarks/test_bench_integrity.py"
+    [--overload]="overload soak|OVERLOAD|0 1 2|.testkit-repro|3|tests/testkit/test_overload.py tests/distributed/test_overload.py|overload bench: goodput floor under a 10x burst|benchmarks/test_bench_overload.py"
+    [--bench]="bench harness unit tests|||||bench/tests|bench smoke: all five workloads once, answers checked|python3 -m bench run --smoke"
 )
 
 run_mode() {
-    local label prefix seeds repro rounds paths then_label then_env then_cmd
+    local label prefix seeds repro rounds paths then_label then_cmd
     IFS='|' read -r label prefix seeds repro rounds paths \
-        then_label then_env then_cmd <<<"$1"
+        then_label then_cmd <<<"$1"
     shift
     if [[ -n "$prefix" ]]; then
         local seeds_var="${prefix}_SEEDS" repro_var="${prefix}_REPRO_DIR"
@@ -127,19 +117,13 @@ run_mode() {
                 python -m pytest -x -q $paths \
                 --per-test-timeout="$PER_TEST_TIMEOUT" "$@"
         done
-    elif [[ -n "$paths" ]]; then
+    else
         echo "=== $label ==="
         # shellcheck disable=SC2086
         timeout --signal=INT "$SUITE_TIMEOUT" python -m pytest $paths -q "$@"
     fi
     if [[ -n "$then_cmd" ]]; then
-        local pair name shown=""
-        for pair in $then_env; do
-            name="${pair%%=*}"
-            export "$name=${!name:-${pair#*=}}"
-            shown+=" $name=${!name}"
-        done
-        echo "=== $then_label${shown:+ (${shown# })} ==="
+        echo "=== $then_label ==="
         # --per-test-timeout lives in tests/conftest.py and is not loaded
         # outside the tests tree; the outer timeout is the hang backstop.
         if [[ "$then_cmd" == benchmarks/* ]]; then

@@ -129,8 +129,10 @@ class FrameServer:
                 self._conns.append(sock)
             worker = threading.Thread(target=self._serve, args=(sock,),
                                       daemon=True)
-            worker.start()
+            # Track before starting: the thread may answer its client
+            # before this loop runs again.
             self._threads.append(worker)
+            worker.start()
 
     def _serve(self, sock) -> None:
         try:

@@ -25,13 +25,11 @@ __all__ = ["ExpertOutput", "argmin_select", "majority_vote",
            "ENGINES", "validate_engine", "compiled_expert_for"]
 
 #: Inference engines selectable throughout the serving stack.
-#: ``tape``          — the autograd forward (reference semantics).
-#: ``compiled``      — traced flat-op executor, float weights
-#:                     (byte-identical for linear/relu networks,
-#:                     tolerance-equivalent once conv+bn folding kicks in).
-#: ``compiled-int8`` — compiled executor with int8 weights and
-#:                     dequantize-on-accumulate kernels (tolerance only).
-ENGINES = ("tape", "compiled", "compiled-int8")
+#: ``tape``     — the autograd forward (reference semantics).
+#: ``compiled`` — traced flat-op executor, float weights
+#:                (byte-identical for linear/relu networks,
+#:                tolerance-equivalent once conv+bn folding kicks in).
+ENGINES = ("tape", "compiled")
 
 
 def validate_engine(engine: str) -> str:
@@ -49,11 +47,10 @@ _COMPILED: "weakref.WeakKeyDictionary[Module, dict]" = \
 _COMPILED_LOCK = threading.Lock()
 
 
-def compiled_expert_for(expert: Module, x: np.ndarray,
-                        quantize: bool = False):
+def compiled_expert_for(expert: Module, x: np.ndarray):
     """Fetch (or lazily build) the compiled executor for ``expert`` at
     the input signature of ``x`` (feature shape + dtype; batch is free)."""
-    key = (x.shape[1:], x.dtype.str, bool(quantize))
+    key = (x.shape[1:], x.dtype.str)
     with _COMPILED_LOCK:
         per_expert = _COMPILED.get(expert)
         if per_expert is None:
@@ -61,7 +58,7 @@ def compiled_expert_for(expert: Module, x: np.ndarray,
             _COMPILED[expert] = per_expert
         compiled = per_expert.get(key)
     if compiled is None:
-        compiled = compile_expert(expert, x, quantize=quantize)
+        compiled = compile_expert(expert, x)
         with _COMPILED_LOCK:
             per_expert[key] = compiled
     return compiled
@@ -84,15 +81,14 @@ def expert_forward(expert: Module, x: np.ndarray,
     """Run one expert in eval mode and compute (probs, entropy).
 
     ``engine`` selects the forward implementation (see :data:`ENGINES`).
-    The compiled engines compute softmax/entropy with the exact numpy
+    The compiled engine computes softmax/entropy with the exact numpy
     expressions the tape ops use, so for networks the executor replays
     byte-identically the whole ``ExpertOutput`` is byte-identical too.
     """
     if engine != "tape":
         validate_engine(engine)
         x = np.asarray(x)
-        compiled = compiled_expert_for(expert, x,
-                                       quantize=(engine == "compiled-int8"))
+        compiled = compiled_expert_for(expert, x)
         logits = compiled.run(x)
         shifted = logits - logits.max(axis=-1, keepdims=True)
         exp = np.exp(shifted)

@@ -6,9 +6,8 @@ per-approach metric estimators that regenerate the paper's tables.
 """
 
 from .cost import DTYPE_BYTES, LayerCost, ModelCost, profile_model
-from .loadsim import (LoadReport, OpenLoopReport, capacity_sweep,
-                      drive_open_loop, poisson_arrivals, simulate_queue,
-                      sustainable_rate, uniform_arrivals)
+from .loadsim import (LoadReport, capacity_sweep, poisson_arrivals,
+                      simulate_queue, sustainable_rate, uniform_arrivals)
 from .device import (DEVICES, JETSON_TX2_CPU, JETSON_TX2_GPU,
                      RASPBERRY_PI_3B, DeviceProfile)
 from .metrics import (Metrics, RESULT_BYTES, baseline_metrics,
@@ -32,5 +31,5 @@ __all__ = [
     "LoadReport",
     "poisson_arrivals",
     "uniform_arrivals", "simulate_queue", "sustainable_rate",
-    "capacity_sweep", "OpenLoopReport", "drive_open_loop",
+    "capacity_sweep",
 ]

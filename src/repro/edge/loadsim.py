@@ -19,14 +19,12 @@ the ``servers=K`` case.
 from __future__ import annotations
 
 import heapq
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = ["LoadReport", "poisson_arrivals", "uniform_arrivals",
-           "simulate_queue", "sustainable_rate", "capacity_sweep",
-           "OpenLoopReport", "drive_open_loop"]
+           "simulate_queue", "sustainable_rate", "capacity_sweep"]
 
 
 def poisson_arrivals(rate: float, duration: float,
@@ -155,147 +153,6 @@ def simulate_queue(arrivals: np.ndarray, service_time, servers: int = 1,
                       waiting_times=np.asarray(waiting),
                       served=len(sojourn), dropped=dropped,
                       duration=duration, busy_time=busy, servers=servers)
-
-
-@dataclass
-class OpenLoopReport:
-    """Outcome of one *real-request* open-loop run (:func:`drive_open_loop`)."""
-
-    latencies_s: np.ndarray       # submit-to-completion per served request
-    served: int
-    rejected: int                 # submit refused (queue full / closed)
-    failed: int                   # submitted but errored or timed out
-    duration_s: float
-    #: the per-request deadline the run was driven with (None = no SLO)
-    deadline_s: float | None = None
-    #: shed/failure counts keyed by exception class name — e.g.
-    #: ``{"ServerOverloaded": 41, "DeadlineExpired": 7}``.  Kept as names
-    #: so this module never imports the distributed layer.
-    shed_by_cause: dict = field(default_factory=dict)
-
-    @property
-    def answered_latencies(self) -> np.ndarray:
-        """Latencies of requests that beat the deadline (all, if none set)."""
-        if self.deadline_s is None or len(self.latencies_s) == 0:
-            return self.latencies_s
-        return self.latencies_s[self.latencies_s <= self.deadline_s]
-
-    @property
-    def answered(self) -> int:
-        """Requests served *within the deadline* — the goodput numerator."""
-        return int(len(self.answered_latencies))
-
-    @property
-    def rps(self) -> float:
-        """Served requests per second of wall clock."""
-        if self.duration_s <= 0:
-            return 0.0
-        return self.served / self.duration_s
-
-    @property
-    def goodput_rps(self) -> float:
-        """Answered-within-deadline requests per second of wall clock."""
-        if self.duration_s <= 0:
-            return 0.0
-        return self.answered / self.duration_s
-
-    def percentile(self, q: float) -> float:
-        """Latency percentile over *answered* requests only — under
-        overload the interesting number is how fast the answers you did
-        give were, not the tail of answers nobody waited for."""
-        answered = self.answered_latencies
-        if len(answered) == 0:
-            return float("nan")
-        return float(np.percentile(answered, q))
-
-    def to_dict(self) -> dict:
-        """JSON-friendly summary (the serving bench's trajectory rows)."""
-        return {
-            "served": self.served,
-            "answered": self.answered,
-            "rejected": self.rejected,
-            "failed": self.failed,
-            "duration_s": self.duration_s,
-            "rps": self.rps,
-            "goodput_rps": self.goodput_rps,
-            "deadline_ms": (self.deadline_s * 1e3
-                            if self.deadline_s is not None else None),
-            "shed_by_cause": dict(sorted(self.shed_by_cause.items())),
-            "p50_ms": self.percentile(50) * 1e3,
-            "p95_ms": self.percentile(95) * 1e3,
-            "p99_ms": self.percentile(99) * 1e3,
-        }
-
-
-def drive_open_loop(submit, arrivals: np.ndarray, inputs,
-                    result_timeout: float = 30.0,
-                    deadline_s: float | None = None) -> OpenLoopReport:
-    """Replay an arrival schedule against a live serving endpoint.
-
-    Unlike :func:`simulate_queue` (analytic service times), this drives
-    *real requests*: at each (relative) time in ``arrivals`` the matching
-    entry of ``inputs`` is handed to ``submit``.  Open-loop means the
-    schedule never slows down for a backed-up server — exactly the regime
-    where queueing delay shows up in the percentiles.
-
-    ``submit`` is either asynchronous — returns a future with a
-    ``result(timeout)`` method, e.g. ``TeamNetServer.submit`` — or a
-    plain synchronous callable, in which case each request's latency is
-    its call duration (the back-to-back baseline).  A ``submit`` that
-    raises counts as rejected; a future that raises counts as failed.
-    Both are additionally broken down by exception class name in the
-    report's ``shed_by_cause`` (so admission sheds, deadline sheds, and
-    hard failures stay distinguishable without this module importing
-    the serving layer's exception types).
-
-    With ``deadline_s`` set, every submit carries that per-request
-    deadline (``submit(x, deadline_s=...)``) and the report's goodput /
-    percentiles count answered-within-deadline requests only.
-    """
-    arrivals = np.asarray(arrivals, dtype=float)
-    t0 = time.monotonic()
-    outstanding: list[tuple[float, object]] = []
-    latencies: list[float] = []
-    shed_by_cause: dict[str, int] = {}
-    rejected = 0
-    failed = 0
-
-    def book(exc: BaseException) -> None:
-        name = type(exc).__name__
-        shed_by_cause[name] = shed_by_cause.get(name, 0) + 1
-
-    for arrival, x in zip(arrivals, inputs):
-        lag = arrival - (time.monotonic() - t0)
-        if lag > 0:
-            time.sleep(lag)
-        sent = time.monotonic()
-        try:
-            handle = (submit(x) if deadline_s is None
-                      else submit(x, deadline_s=deadline_s))
-        except Exception as exc:  # noqa: BLE001 - overload counts, not dies
-            rejected += 1
-            book(exc)
-            continue
-        if hasattr(handle, "result"):
-            outstanding.append((sent, handle))
-        else:
-            latencies.append(time.monotonic() - sent)
-    for sent, future in outstanding:
-        try:
-            future.result(timeout=result_timeout)
-        except Exception as exc:  # noqa: BLE001 - booked as a failure
-            failed += 1
-            book(exc)
-            continue
-        done = getattr(future, "done_at", None)
-        latencies.append((done if done is not None
-                          else time.monotonic()) - sent)
-    duration = time.monotonic() - t0
-    return OpenLoopReport(latencies_s=np.asarray(latencies),
-                          served=len(latencies), rejected=rejected,
-                          failed=failed, duration_s=duration,
-                          deadline_s=deadline_s,
-                          shed_by_cause=shed_by_cause)
 
 
 def sustainable_rate(service_time_s: float, servers: int = 1) -> float:

@@ -23,15 +23,12 @@ arithmetic itself.  This module removes it:
   batch-generic: reshape ops that carry the batch dimension are
   re-derived per call, and compilation verifies the program against the
   tape at a second batch size.
-* **int8** — with ``quantize=True`` linear/conv weights are kept as int8
-  codes plus per-output-channel scales and executed with the
-  dequantize-on-accumulate kernels from :mod:`repro.nn.quantize`.
 
 Numerical contract (asserted by ``tests/nn/test_executor_differential``):
 the unfused path is *byte-identical* to the tape; linear+relu fusion is
 also byte-identical (same numpy expressions, just into reused buffers);
-conv+bn folding and int8 kernels change the accumulation order and are
-equivalent only within a small tolerance.
+conv+bn folding changes the accumulation order and is equivalent only
+within a small tolerance.
 """
 
 from __future__ import annotations
@@ -44,7 +41,6 @@ import numpy as np
 
 from .autograd import Function, no_grad
 from .functional import BatchNormEval, Conv2d as _ConvFn, _im2col
-from .quantize import int8_conv2d, int8_linear, quantize_array
 from .tensor import Add, MatMul, Relu, Reshape, Tensor
 
 __all__ = ["CompiledExpert", "compile_expert", "TraceError"]
@@ -182,9 +178,9 @@ class _Node:
 
 
 class _LinearNode(_Node):
-    """``x @ W.T [+ b] [relu]`` — fused, buffered, optionally int8."""
+    """``x @ W.T [+ b] [relu]`` — fused, buffered."""
 
-    __slots__ = ("in_slot", "wt", "bias", "relu", "q", "scales", "scratch")
+    __slots__ = ("in_slot", "wt", "bias", "relu")
     buffered = True
 
     def __init__(self, key, in_slot, out_slot, wt, bias, relu, dtype):
@@ -195,39 +191,26 @@ class _LinearNode(_Node):
         self.bias = bias
         self.relu = relu
         self.out_dtype = dtype
-        self.q = None                     # (out, in) int8 when quantized
-        self.scales = None
-        self.scratch = None
         self.name = (("Linear" if bias is not None else "MatMul")
                      + ("ReLU" if relu else ""))
-
-    def quantize(self):
-        self.q, self.scales = quantize_array(
-            np.ascontiguousarray(self.wt.T), axis=0)
-        self.wt = None
-        self.name = "Int8" + self.name
 
     def run(self, env, pool, n):
         x = env[self.in_slot]
         out = pool.get(n, self.key, (x.shape[0], self.out_trailing[0]),
                        self.out_dtype)
-        if self.q is not None:
-            y = int8_linear(x, self.q, self.scales, self.bias, out=out,
-                            scratch=self.scratch)
-        else:
-            y = np.matmul(x, self.wt, out=out)
-            if self.bias is not None:
-                np.add(y, self.bias, out=y)
+        y = np.matmul(x, self.wt, out=out)
+        if self.bias is not None:
+            np.add(y, self.bias, out=y)
         if self.relu:
             np.multiply(y, y > 0, out=y)
         env[self.out_slot] = y
 
 
 class _ConvNode(_Node):
-    """im2col conv with optional folded eval-BN, relu, int8 weights."""
+    """im2col conv with optional folded eval-BN and relu."""
 
     __slots__ = ("in_slot", "w", "w_mat", "bias", "stride", "padding",
-                 "relu", "folded_bn", "q", "scales", "scratch")
+                 "relu", "folded_bn")
     buffered = True
 
     def __init__(self, key, in_slot, out_slot, w, bias, stride, padding,
@@ -243,16 +226,8 @@ class _ConvNode(_Node):
         self.relu = relu
         self.folded_bn = folded_bn
         self.out_dtype = dtype
-        self.q = None
-        self.scales = None
-        self.scratch = None
         self.name = ("Conv2d" + ("BN" if folded_bn else "")
                      + ("ReLU" if relu else ""))
-
-    def quantize(self):
-        self.q, self.scales = quantize_array(self.w, axis=0)
-        self.w = self.w_mat = None
-        self.name = "Int8" + self.name
 
     def run(self, env, pool, n):
         x = env[self.in_slot]
@@ -260,14 +235,6 @@ class _ConvNode(_Node):
         nb = x.shape[0]
         rows = nb * self.out_trailing[1] * self.out_trailing[2]
         out = pool.get(n, self.key, (rows, o), self.out_dtype)
-        if self.q is not None:
-            y = int8_conv2d(x, self.q, self.scales, self.bias,
-                            stride=self.stride, padding=self.padding,
-                            out=out, scratch=self.scratch)
-            if self.relu:
-                np.multiply(out, out > 0, out=out)
-            env[self.out_slot] = y
-            return
         cols, out_h, out_w = _im2col(x, self.w.shape[2], self.w.shape[3],
                                      self.stride, self.padding)
         y = np.matmul(cols, self.w_mat.T, out=out)
@@ -577,21 +544,6 @@ def _lower(ops, shapes, dtypes, batch, out_slot, fuse):
     return nodes, exact
 
 
-def _quantize_nodes(nodes):
-    """Swap linear/conv weights for int8 codes sharing one float scratch."""
-    targets = [n for n in nodes if isinstance(n, (_LinearNode, _ConvNode))]
-    if not targets:
-        return False
-    for node in targets:
-        node.quantize()
-    scratch = np.empty(max(n.q.size for n in targets), dtype=np.float32)
-    for node in targets:
-        # Pre-shaped (overlapping) views of the shared scratch: the widen
-        # step in the int8 kernels then skips the per-call reshape.
-        node.scratch = scratch[: node.q.size].reshape(node.q.shape)
-    return True
-
-
 # --------------------------------------------------------------------------
 # Public API
 # --------------------------------------------------------------------------
@@ -604,7 +556,7 @@ class CompiledExpert:
     instance.
     """
 
-    def __init__(self, nodes, num_slots, example, out_slot, quantized):
+    def __init__(self, nodes, num_slots, example, out_slot):
         self._nodes = nodes
         self._env: list = [None] * num_slots
         self._pool = _BufferPool()
@@ -612,7 +564,6 @@ class CompiledExpert:
         self._in_trailing = example.shape[1:]
         self._in_dtype = example.dtype
         self.out_slot = out_slot
-        self.quantized = quantized
         buffered = {n.out_slot for n in nodes if n.buffered}
         # Conv/reshape nodes publish views of pooled buffers; hand callers
         # a copy of the final activation so the next run can't clobber it.
@@ -691,18 +642,14 @@ def _verify(compiled: CompiledExpert, module, example, exact):
 
 
 def compile_expert(module, example, *, fuse: bool = True,
-                   quantize: bool = False,
                    verify: bool = True) -> CompiledExpert:
     """Trace ``module`` on ``example`` and return a :class:`CompiledExpert`.
 
     ``example`` fixes the feature shape and dtype (batch size stays
-    free).  ``fuse`` enables linear+relu fusion and conv+bn folding;
-    ``quantize`` additionally stores linear/conv weights as int8 with
-    dequantize-on-accumulate kernels.  ``verify`` replays the example
-    (and a doubled batch) against the tape right after compilation —
-    byte-exact when no transform changed the accumulation order, else
-    within tolerance; quantized programs skip the value check (weights
-    intentionally differ) but still exercise the second batch size.
+    free).  ``fuse`` enables linear+relu fusion and conv+bn folding.
+    ``verify`` replays the example (and a doubled batch) against the tape
+    right after compilation — byte-exact when no transform changed the
+    accumulation order, else within tolerance.
     """
     example = np.ascontiguousarray(example)
     if example.ndim < 1 or example.shape[0] < 1:
@@ -710,13 +657,7 @@ def compile_expert(module, example, *, fuse: bool = True,
     ops, shapes, dtypes, out_slot = _trace(module, example)
     nodes, exact = _lower(ops, shapes, dtypes, example.shape[0], out_slot,
                           fuse)
-    quantized = _quantize_nodes(nodes) if quantize else False
-    compiled = CompiledExpert(nodes, len(shapes), example, out_slot,
-                              quantized)
+    compiled = CompiledExpert(nodes, len(shapes), example, out_slot)
     if verify:
-        if quantized:
-            compiled.run(np.concatenate([example, example], axis=0))
-            compiled.run(example)
-        else:
-            _verify(compiled, module, example, exact)
+        _verify(compiled, module, example, exact)
     return compiled

@@ -8,13 +8,6 @@ channel scale and dequantized on the fly at load time, which preserves
 the float compute path (realistic for NEON/CUDA edge inference where
 weight *storage*, not arithmetic, is the bottleneck we model).
 
-Beyond storage, this module also provides int8 *compute* kernels
-(:func:`int8_linear`, :func:`int8_conv2d`) used by the compiled inference
-executor: the weight stays int8 in memory, is widened to float once into a
-shared scratch buffer, and the per-output-channel scale is applied once
-per accumulated output (dequantize-on-accumulate) instead of once per
-weight element.
-
 API:
     qstate = quantize_state_dict(model.state_dict())
     state  = dequantize_state_dict(qstate)      # load back into a model
@@ -29,8 +22,7 @@ from .layers import Module
 
 __all__ = ["quantize_array", "dequantize_array", "quantize_state_dict",
            "dequantize_state_dict", "quantized_size_bytes",
-           "quantize_model", "quantization_error",
-           "int8_linear", "int8_conv2d", "AlreadyQuantizedError"]
+           "quantize_model", "quantization_error", "AlreadyQuantizedError"]
 
 
 class AlreadyQuantizedError(ValueError):
@@ -131,67 +123,6 @@ def quantize_model(model: Module) -> None:
     deployment: the accuracy the device will see)."""
     state = model.state_dict()
     model.load_state_dict(dequantize_state_dict(quantize_state_dict(state)))
-
-
-def _widen(q: np.ndarray, scratch: np.ndarray | None) -> np.ndarray:
-    """Widen int8 codes to float32, into ``scratch`` when provided.
-
-    ``scratch`` is either a flat float32 buffer of at least ``q.size``
-    elements or a view already shaped like ``q`` (callers on the hot path
-    pre-shape it once to skip the per-call reshape); reusing one scratch
-    across layers keeps the fast path allocation-free.
-    """
-    if scratch is None:
-        return q.astype(np.float32)
-    view = scratch if scratch.shape == q.shape \
-        else scratch[: q.size].reshape(q.shape)
-    np.copyto(view, q)
-    return view
-
-
-def int8_linear(x: np.ndarray, q: np.ndarray, scales: np.ndarray,
-                bias: np.ndarray | None = None, *,
-                out: np.ndarray | None = None,
-                scratch: np.ndarray | None = None) -> np.ndarray:
-    """``x @ dequantize(q).T + bias`` with dequantize-on-accumulate.
-
-    ``q`` is the int8 weight in Linear layout ``(out_features,
-    in_features)`` with per-output-channel ``scales`` (axis 0).  The
-    matmul accumulates against the raw int8 codes (widened to float) and
-    the scale is applied once per output element — O(out) multiplies by
-    ``scales`` instead of O(out*in) multiplies to rebuild the float
-    weight.  Matches the float reference to ~1 ulp of the accumulation
-    order change.
-    """
-    w = _widen(q, scratch)
-    y = np.matmul(x, w.T, out=out)
-    np.multiply(y, scales, out=y)
-    if bias is not None:
-        np.add(y, bias, out=y)
-    return y
-
-
-def int8_conv2d(x: np.ndarray, q: np.ndarray, scales: np.ndarray,
-                bias: np.ndarray | None = None, *, stride: int = 1,
-                padding: int = 0, out: np.ndarray | None = None,
-                scratch: np.ndarray | None = None) -> np.ndarray:
-    """int8 2-D convolution via im2col, dequantize-on-accumulate.
-
-    ``q`` is the int8 kernel ``(out_ch, in_ch, kh, kw)`` quantized along
-    axis 0 with per-output-channel ``scales``.  ``out``, if given, is the
-    flat GEMM buffer of shape ``(n*oh*ow, out_ch)``; the returned array is
-    the standard ``(n, out_ch, oh, ow)`` view of it.
-    """
-    from .functional import _im2col
-
-    o, _, kh, kw = q.shape
-    cols, out_h, out_w = _im2col(x, kh, kw, stride, padding)
-    w = _widen(q, scratch)
-    y = np.matmul(cols, w.reshape(o, -1).T, out=out)
-    np.multiply(y, scales, out=y)
-    if bias is not None:
-        np.add(y, bias, out=y)
-    return y.reshape(x.shape[0], out_h, out_w, o).transpose(0, 3, 1, 2)
 
 
 def quantization_error(state: dict[str, np.ndarray]) -> float:

@@ -24,7 +24,6 @@ whole run — which CI uploads and :func:`replay` re-executes.
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,9 +31,9 @@ import numpy as np
 from ..core.inference import TeamInference, argmin_select, validate_engine
 from ..distributed.serving import TeamNetServer
 from ..nn import Module
-from ..nn.quantize import quantize_model
 from . import strategies
 from .cluster import SimCluster
+from .crash import write_repro_artifact
 from .faults import FaultSchedule
 from .guards import forbid_sockets
 from .sim_transport import SimNetwork
@@ -132,8 +131,7 @@ def run_serving_differential_case(experts: list[Module],
                                   max_batch: int = 8,
                                   reply_timeout: float | None = 1.0,
                                   coalesce: str = "exact",
-                                  engine: str = "tape",
-                                  decision_tolerance: float = 1e-5) -> int:
+                                  engine: str = "tape") -> int:
     """Serve ``requests`` through a coalescing :class:`TeamNetServer` and
     assert every answer matches a sequential ``master.infer`` of the same
     request on a fresh cluster.
@@ -145,22 +143,12 @@ def run_serving_differential_case(experts: list[Module],
     one-request-per-batch run.  Returns the number of batches used.
 
     ``engine`` selects the *served* cluster's forward implementation; the
-    sequential reference always runs on the tape.  For ``tape`` and
-    ``compiled`` the comparison is byte-exact (the executor replays the
-    MLP expert zoo byte-identically).  For ``compiled-int8`` the experts
-    are first fake-quantized in place (both paths then share the int8
-    weight grid; re-quantizing inside the executor is a fixed point), and
-    the served answers must match the tape reference exactly *except* on
-    rows the reference itself scores as a near-tie: a winner flip is
-    tolerated only where the two smallest expert entropies are within
-    ``decision_tolerance``, a prediction flip only where the winning
-    expert's top-two class probabilities are.
+    sequential reference always runs on the tape.  Either way the
+    comparison is byte-exact (the executor replays the MLP expert zoo
+    byte-identically).
     """
     validate_engine(engine)
     requests = [np.asarray(x) for x in requests]
-    if engine == "compiled-int8":
-        for expert in experts:
-            quantize_model(expert)
     with SimCluster(experts, degrade_on_failure=True,
                     reply_timeout=reply_timeout, engine=engine) as cluster:
         server = TeamNetServer(cluster.master, max_batch=max_batch,
@@ -172,79 +160,15 @@ def run_serving_differential_case(experts: list[Module],
             batches = server.stats().batches
         finally:
             server.close()
-    sequential = []
-    margins = []
     with SimCluster(experts, degrade_on_failure=True,
                     reply_timeout=reply_timeout) as cluster:
-        for x in requests:
-            result = cluster.master.infer(x)
-            sequential.append(result)
-            outputs = [cluster.master.last_outputs[i]
-                       for i in cluster.surviving_team]
-            margins.append(_decision_margins(outputs, result[1],
-                                             cluster.surviving_team))
-    exact = engine in ("tape", "compiled")
+        sequential = [cluster.master.infer(x) for x in requests]
     for i, ((got_preds, got_winner, _), (want_preds, want_winner, _)) \
             in enumerate(zip(served, sequential)):
-        if exact:
-            _assert_identical(f"request {i} predictions",
-                              got_preds, want_preds)
-            _assert_identical(f"request {i} winner indices",
-                              got_winner, want_winner)
-        else:
-            _assert_decisions_close(i, got_preds, got_winner, want_preds,
-                                    want_winner, margins[i],
-                                    decision_tolerance)
+        _assert_identical(f"request {i} predictions", got_preds, want_preds)
+        _assert_identical(f"request {i} winner indices",
+                          got_winner, want_winner)
     return batches
-
-
-def _decision_margins(outputs, winner, participants):
-    """Per-row (entropy gap, winner top-two prob gap) of the reference.
-
-    The entropy gap is the distance between the two smallest expert
-    entropies — how contested the arg-min gate was; the prob gap is the
-    winning expert's top-1/top-2 softmax margin — how contested its
-    argmax prediction was.
-    """
-    entropies = np.sort(np.stack([o.entropy for o in outputs], axis=1),
-                        axis=1)
-    if entropies.shape[1] >= 2:
-        entropy_gap = entropies[:, 1] - entropies[:, 0]
-    else:
-        entropy_gap = np.full(entropies.shape[0], np.inf)
-    position = {index: pos for pos, index in enumerate(participants)}
-    rows = np.arange(len(winner))
-    winner_probs = np.stack(
-        [outputs[position[int(w)]].probs[r] for r, w in zip(rows, winner)])
-    top2 = np.sort(winner_probs, axis=1)[:, -2:]
-    return entropy_gap, top2[:, 1] - top2[:, 0]
-
-
-def _assert_decisions_close(index, got_preds, got_winner, want_preds,
-                            want_winner, margins, tolerance):
-    entropy_gap, prob_gap = margins
-    got_preds = np.asarray(got_preds)
-    got_winner = np.asarray(got_winner)
-    if got_preds.shape != np.shape(want_preds) or \
-            got_winner.shape != np.shape(want_winner):
-        raise DifferentialMismatch(
-            f"request {index}: served shapes {got_preds.shape}/"
-            f"{got_winner.shape} != reference")
-    for row in range(len(want_preds)):
-        if got_winner[row] != want_winner[row]:
-            if entropy_gap[row] > tolerance:
-                raise DifferentialMismatch(
-                    f"request {index} row {row}: winner "
-                    f"{got_winner[row]} != reference {want_winner[row]} "
-                    f"with a decisive entropy gap {entropy_gap[row]:.3e} "
-                    f"(> {tolerance:.1e})")
-        elif got_preds[row] != want_preds[row]:
-            if prob_gap[row] > tolerance:
-                raise DifferentialMismatch(
-                    f"request {index} row {row}: prediction "
-                    f"{got_preds[row]} != reference {want_preds[row]} "
-                    f"with a decisive prob margin {prob_gap[row]:.3e} "
-                    f"(> {tolerance:.1e})")
 
 
 def _case_inputs(seed: int, index: int
@@ -271,21 +195,16 @@ def _is_benign(schedule: FaultSchedule) -> bool:
 
 def _dump_repro(repro_dir: str | None, seed: int, index: int,
                 schedule: FaultSchedule, error: Exception) -> str:
-    directory = (repro_dir or os.environ.get("TESTKIT_REPRO_DIR")
-                 or DEFAULT_REPRO_DIR)
-    os.makedirs(directory, exist_ok=True)
-    path = os.path.join(directory,
-                        f"differential-seed{seed}-case{index}.json")
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump({
+    return write_repro_artifact(
+        f"differential-seed{seed}-case{index}.json", {
             "sweep_seed": seed,
             "case_index": index,
             "schedule": schedule.to_dict(),
             "error": str(error),
             "replay": "python -c 'from repro.testkit.differential import "
-                      f"replay; replay({path!r})'",
-        }, handle, indent=2)
-    return path
+                      "replay; replay(\"<path of this file>\")'",
+        }, repro_dir=repro_dir, env_var="TESTKIT_REPRO_DIR",
+        default_dir=DEFAULT_REPRO_DIR)
 
 
 def differential_sweep(seed: int = 0, cases: int = 200,

@@ -44,7 +44,9 @@ from .crash import write_repro_artifact
 from .guards import forbid_sockets
 
 __all__ = ["OverloadSoakConfig", "PhaseStats", "OverloadSoakReport",
-           "overload_round", "overload_soak"]
+           "overload_round", "overload_soak", "DEFAULT_OVERLOAD_REPRO_DIR"]
+
+DEFAULT_OVERLOAD_REPRO_DIR = ".testkit-repro"
 
 #: the three phases of every soak schedule (rate multipliers of warm_rps)
 PHASES = (("warm", 1.0), ("burst", 10.0), ("recover", 1.0))
@@ -353,8 +355,7 @@ def overload_soak(seed: int = 0, rounds: int = 3,
 
     The first failing round writes a JSON repro artifact (seed + round +
     error + replay command) to ``repro_dir`` (default
-    ``$OVERLOAD_REPRO_DIR``, falling back to the shared testkit repro
-    directory) and re-raises.  Rounds run under
+    ``$OVERLOAD_REPRO_DIR`` or ``.testkit-repro/``) and re-raises.  Rounds run under
     :func:`~repro.testkit.guards.forbid_sockets` — the soak is a pure
     virtual-time model and must never touch the network.
     """
@@ -377,7 +378,8 @@ def overload_soak(seed: int = 0, rounds: int = 3,
                         "python -c \"from repro.testkit.overload import "
                         f"overload_round; overload_round({seed + round_index})"
                         "\"",
-                }, repro_dir=repro_dir, env_var="OVERLOAD_REPRO_DIR")
+                }, repro_dir=repro_dir, env_var="OVERLOAD_REPRO_DIR",
+                default_dir=DEFAULT_OVERLOAD_REPRO_DIR)
             raise AssertionError(
                 f"overload round {round_index} failed "
                 f"(repro: {path}): {exc}") from exc

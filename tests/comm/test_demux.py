@@ -97,6 +97,9 @@ class TestChannelDeath:
         slot = demux.expect(1, timeout=0.05)
         with pytest.raises(TimeoutError):
             slot.wait()
+        # wait()'s own backstop can fire before the reader thread acts on
+        # the same deadline; the channel dies on the reader's side.
+        demux._reader.join(timeout=2.0)
         assert demux.dead
         with pytest.raises(ChannelDead):
             demux.expect(2, timeout=0.05)

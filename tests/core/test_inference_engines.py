@@ -1,10 +1,9 @@
-"""Engine selection on the inference path (tape / compiled / int8).
+"""Engine selection on the inference path (tape / compiled).
 
-The compiled engines must be drop-in: ``expert_forward(engine=
+The compiled engine must be drop-in: ``expert_forward(engine=
 "compiled")`` returns a byte-identical :class:`ExpertOutput` for the MLP
 expert zoo (the executor replays linear/relu nets exactly and the probs/
-entropy are computed with the same numpy expressions the tape ops use),
-and ``compiled-int8`` stays within quantization tolerance.
+entropy are computed with the same numpy expressions the tape ops use).
 """
 
 import numpy as np
@@ -13,7 +12,6 @@ import pytest
 from repro.core.inference import (ENGINES, TeamInference, compiled_expert_for,
                                   expert_forward, expert_forward_segments,
                                   validate_engine)
-from repro.nn.quantize import quantize_model
 from repro.testkit import strategies
 
 
@@ -28,10 +26,12 @@ class TestValidateEngine:
 
     def test_unknown_engine_rejected_everywhere(self):
         experts, x = team(0)
-        with pytest.raises(ValueError, match="unknown engine"):
-            expert_forward(experts[0], x, engine="jit")
-        with pytest.raises(ValueError, match="unknown engine"):
-            TeamInference(experts, engine="jit")
+        # The retired int8 compute engine is rejected like any other name.
+        for engine in ("jit", "compiled-int8"):
+            with pytest.raises(ValueError, match="unknown engine"):
+                expert_forward(experts[0], x, engine=engine)
+            with pytest.raises(ValueError, match="unknown engine"):
+                TeamInference(experts, engine=engine)
 
 
 class TestCompiledEngine:
@@ -63,35 +63,18 @@ class TestCompiledEngine:
         assert got[1].tobytes() == want[1].tobytes()
 
 
-class TestInt8Engine:
-    def test_matches_fake_quantized_tape_within_tolerance(self):
-        import copy
-        experts, x = team(5)
-        expert = experts[0]
-        reference = copy.deepcopy(expert)
-        quantize_model(reference)
-        want = expert_forward(reference, x, engine="tape")
-        got = expert_forward(expert, x, engine="compiled-int8")
-        np.testing.assert_allclose(got.probs, want.probs,
-                                   rtol=1e-4, atol=1e-6)
-        np.testing.assert_allclose(got.entropy, want.entropy,
-                                   rtol=1e-4, atol=1e-6)
-
-
 class TestCompiledCache:
     def test_program_reused_per_signature(self):
         experts, x = team(6)
         expert = experts[0]
         first = compiled_expert_for(expert, x)
         assert compiled_expert_for(expert, x) is first
+        assert not hasattr(first, "quantized")  # float weights only
         # A different dtype is a different signature, not a cache hit.
         other = compiled_expert_for(
             expert, x.astype(np.float32 if x.dtype == np.float64
                              else np.float64))
         assert other is not first
-        # Quantization is part of the key too.
-        assert compiled_expert_for(expert, x, quantize=True) is not first
-        assert compiled_expert_for(expert, x, quantize=True).quantized
 
     def test_batch_size_is_not_part_of_the_key(self):
         experts, x = team(7)

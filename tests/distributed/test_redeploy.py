@@ -16,11 +16,13 @@ import numpy as np
 import pytest
 
 from repro.comm import protocol
-from repro.core import TeamNetTrainer, TrainerConfig
+from repro.core import TeamInference, TeamNetTrainer, TrainerConfig
+from repro.core.inference import expert_forward
 from repro.data import synthetic_mnist
 from repro.distributed import ResilienceConfig
 from repro.distributed.teamnet_runtime import ExpertWorker, WorkerFailure
-from repro.nn import build_model, downsize, mlp_spec, model_to_bytes
+from repro.nn import (build_model, downsize, mlp_spec, model_from_bytes,
+                      model_to_bytes)
 from repro.store import CheckpointStore
 from repro.testkit import SimCluster, forbid_sockets
 
@@ -91,21 +93,39 @@ class TestRedeploy:
             finally:
                 standby.stop()
 
-    def test_explicit_blob_needs_no_store(self, trained):
+    @pytest.mark.parametrize("quantize", [False, True],
+                             ids=["float", "int8"])
+    def test_explicit_blob_needs_no_store(self, trained, quantize):
+        """An int8 archive is storage only: it ships as int8 codes and
+        the compiled standby serves the float weights it loads as."""
         trainer, spec = trained
         x = np.random.default_rng(SEED).standard_normal((2, IN_DIM))
-        blob = model_to_bytes(trainer.experts[2], spec)
+        blob = model_to_bytes(trainer.experts[2], spec, quantize=quantize)
+        shipped, _ = model_from_bytes(blob)
+        want_preds, want_winner = TeamInference(
+            trainer.experts[:2] + [shipped],
+            engine="compiled").predict_with_winner(x)
         with forbid_sockets(), \
-                SimCluster(trainer.experts,
-                           resilience=fast_resilience()) as cluster:
+                SimCluster(trainer.experts, resilience=fast_resilience(),
+                           engine="compiled") as cluster:
             baseline = cluster.predict(x)
             cluster.crash_worker(2)
             standby = ExpertWorker(fresh_expert(spec), host="sim",
-                                   transport=cluster.network.transport)
+                                   transport=cluster.network.transport,
+                                   engine="compiled")
             standby.start()
             try:
                 cluster.master.redeploy(2, standby.address, blob=blob)
-                assert cluster.predict(x).tobytes() == baseline.tobytes()
+                preds, winner, stats = cluster.infer(x)
+                assert not stats.degraded
+                assert preds.tobytes() == want_preds.tobytes()
+                assert winner.tobytes() == want_winner.tobytes()
+                served = cluster.master.last_outputs[2].probs
+                shipped_probs = expert_forward(shipped, x,
+                                               engine="compiled").probs
+                assert served.tobytes() == shipped_probs.tobytes()
+                if not quantize:
+                    assert preds.tobytes() == baseline.tobytes()
             finally:
                 standby.stop()
 

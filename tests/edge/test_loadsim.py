@@ -180,102 +180,3 @@ class TestBoundedQueueBookkeeping:
         assert report.dropped > 0
         assert report.served + report.dropped == len(arrivals)
 
-
-class TestOpenLoopReport:
-    """Goodput and shed accounting on the open-loop driver's report."""
-
-    def _report(self, latencies, deadline_s=None, **kwargs):
-        from repro.edge.loadsim import OpenLoopReport
-        latencies = np.asarray(latencies, dtype=float)
-        defaults = dict(latencies_s=latencies, served=len(latencies),
-                        rejected=0, failed=0, duration_s=10.0,
-                        deadline_s=deadline_s)
-        defaults.update(kwargs)
-        return OpenLoopReport(**defaults)
-
-    def test_without_deadline_everything_served_is_answered(self):
-        report = self._report([0.01, 0.5, 2.0])
-        assert report.answered == 3
-        assert report.goodput_rps == report.rps
-
-    def test_deadline_splits_answered_from_stale(self):
-        report = self._report([0.01, 0.05, 0.5], deadline_s=0.1)
-        assert report.answered == 2
-        assert report.goodput_rps == pytest.approx(0.2)
-        # Percentiles cover answered requests only: the 0.5s straggler
-        # nobody waited for cannot inflate the tail.
-        assert report.percentile(99) <= 0.05 + 1e-12
-
-    def test_shed_by_cause_round_trips_through_to_dict(self):
-        report = self._report([0.01], deadline_s=0.1, rejected=2, failed=1,
-                              shed_by_cause={"ServerOverloaded": 2,
-                                             "DeadlineExpired": 1})
-        payload = report.to_dict()
-        assert payload["shed_by_cause"] == {"DeadlineExpired": 1,
-                                            "ServerOverloaded": 2}
-        assert payload["answered"] == 1
-        assert payload["goodput_rps"] == pytest.approx(0.1)
-        assert payload["deadline_ms"] == pytest.approx(100.0)
-
-    def test_no_deadline_to_dict_has_null_deadline(self):
-        payload = self._report([0.01]).to_dict()
-        assert payload["deadline_ms"] is None
-        assert payload["shed_by_cause"] == {}
-
-
-class TestDriveOpenLoopShedding:
-    def test_rejections_are_classified_by_exception_name(self):
-        from repro.edge.loadsim import drive_open_loop
-
-        class Overloaded(RuntimeError):
-            pass
-
-        calls = {"n": 0}
-
-        def submit(x):
-            calls["n"] += 1
-            if calls["n"] % 2 == 0:
-                raise Overloaded("shed")
-            return None  # synchronous path
-
-        report = drive_open_loop(submit, np.zeros(6), range(6))
-        assert report.served == 3
-        assert report.rejected == 3
-        assert report.shed_by_cause == {"Overloaded": 3}
-
-    def test_deadline_is_forwarded_to_submit(self):
-        from repro.edge.loadsim import drive_open_loop
-
-        seen = []
-
-        class _Future:
-            done_at = None
-
-            def result(self, timeout=None):
-                return "ok"
-
-        def submit(x, deadline_s=None):
-            seen.append(deadline_s)
-            return _Future()
-
-        report = drive_open_loop(submit, np.zeros(3), range(3),
-                                 deadline_s=0.25)
-        assert seen == [0.25, 0.25, 0.25]
-        assert report.deadline_s == 0.25
-        assert report.served == 3
-
-    def test_future_failures_are_classified_too(self):
-        from repro.edge.loadsim import drive_open_loop
-
-        class Expired(RuntimeError):
-            pass
-
-        class _Future:
-            done_at = None
-
-            def result(self, timeout=None):
-                raise Expired("too late")
-
-        report = drive_open_loop(lambda x: _Future(), np.zeros(2), range(2))
-        assert report.failed == 2
-        assert report.shed_by_cause == {"Expired": 2}

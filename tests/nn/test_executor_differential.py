@@ -8,10 +8,7 @@ compared against a plain tape forward of the same module:
 * **unfused** programs must be *byte-identical* at several batch sizes
   (the executor's core contract);
 * **fused** programs are byte-identical unless conv+bn folding changed
-  the accumulation order, in which case they match within tolerance;
-* **int8** programs must match a fake-quantized (quantize-dequantize)
-  tape reference within kernel accumulation tolerance — both paths share
-  the same int8 weight grid by construction.
+  the accumulation order, in which case they match within tolerance.
 
 A failing case writes a JSON repro artifact (``executor-seed<K>-
 case<I>.json``) into ``TESTKIT_REPRO_DIR`` (default ``.testkit-repro``),
@@ -19,7 +16,6 @@ pinning ``(seed, case, mode)`` — the generators are deterministic, so
 that tuple re-derives the exact model and input.
 """
 
-import copy
 import json
 import os
 
@@ -28,8 +24,7 @@ import pytest
 
 from repro.nn import BatchNorm2d, Linear, Module, Tensor, no_grad
 from repro.nn.executor import TraceError, compile_expert
-from repro.nn.quantize import quantize_model
-from repro.testkit import strategies
+from repro.testkit import strategies, write_repro_artifact
 from repro.testkit.differential import DEFAULT_REPRO_DIR
 
 SWEEP_SEED = int(os.environ.get("TESTKIT_SEED", "0"))
@@ -80,19 +75,15 @@ def _assert_close(mode, got, want, rtol=1e-4, atol=1e-6):
 
 
 def _dump_repro(seed, index, mode, error):
-    directory = os.environ.get("TESTKIT_REPRO_DIR") or DEFAULT_REPRO_DIR
-    os.makedirs(directory, exist_ok=True)
-    path = os.path.join(directory, f"executor-seed{seed}-case{index}.json")
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump({
+    return write_repro_artifact(
+        f"executor-seed{seed}-case{index}.json", {
             "sweep_seed": seed,
             "case_index": index,
             "mode": mode,
             "error": str(error),
             "replay": "python -c 'from tests.nn.test_executor_differential "
                       f"import replay; replay({seed}, {index}, {mode!r})'",
-        }, handle, indent=2)
-    return path
+        }, env_var="TESTKIT_REPRO_DIR", default_dir=DEFAULT_REPRO_DIR)
 
 
 def replay(seed, index, mode):
@@ -120,21 +111,7 @@ def _check_fused(model, x):
             _assert_bytes("fused", got, want)
 
 
-def _check_int8(model, x):
-    # fuse=False keeps the executor's int8 grid identical to
-    # quantize_model's (BN folding would re-grid the folded weights), so
-    # the only divergence left is kernel accumulation order.
-    compiled = compile_expert(model, x, fuse=False, quantize=True,
-                              verify=False)
-    reference = copy.deepcopy(model)
-    quantize_model(reference)
-    for batch in _batches(x):
-        _assert_close("int8", compiled.run(batch),
-                      _tape_logits(reference, batch))
-
-
-_CHECKS = {"unfused": _check_unfused, "fused": _check_fused,
-           "int8": _check_int8}
+_CHECKS = {"unfused": _check_unfused, "fused": _check_fused}
 
 
 def _sweep(mode):
@@ -156,9 +133,6 @@ class TestDifferentialSweeps:
 
     def test_fused_replay_matches_tape(self):
         _sweep("fused")
-
-    def test_int8_matches_fake_quantized_reference(self):
-        _sweep("int8")
 
     def test_cases_are_reproducible(self):
         model_a, x_a = _case(SWEEP_SEED, 3)

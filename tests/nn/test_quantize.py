@@ -6,9 +6,9 @@ import pytest
 from repro.nn import MLP, Tensor, build_model, mlp_spec, no_grad
 from repro.nn.quantize import (AlreadyQuantizedError, _should_quantize,
                                dequantize_array, dequantize_state_dict,
-                               int8_conv2d, int8_linear, quantization_error,
-                               quantize_array, quantize_model,
-                               quantize_state_dict, quantized_size_bytes)
+                               quantization_error, quantize_array,
+                               quantize_model, quantize_state_dict,
+                               quantized_size_bytes)
 from repro.testkit import strategies
 
 
@@ -144,58 +144,6 @@ class TestQuantizeProperties:
         assert set(got) == set(want)
         for name in want:
             np.testing.assert_array_equal(got[name], want[name])
-
-
-class TestInt8Kernels:
-    """The dequantize-on-accumulate kernels against the float reference."""
-
-    def test_int8_linear_matches_dequantized_matmul(self):
-        for case in range(25):
-            rng = strategies.rng_from(17, case)
-            n = strategies.batch_size(rng)
-            d_in = strategies.feature_dim(rng, 1, 16)
-            d_out = strategies.feature_dim(rng, 1, 12)
-            dtype = strategies.float_dtype(rng)
-            x = strategies.array(rng, (n, d_in), dtype=dtype)
-            w = strategies.array(rng, (d_out, d_in), dtype=np.float32)
-            bias = (strategies.array(rng, (d_out,), dtype=np.float32)
-                    if rng.random() < 0.7 else None)
-            q, scales = quantize_array(w, axis=0)
-            want = x @ dequantize_array(q, scales).T
-            if bias is not None:
-                want = want + bias
-            got = int8_linear(x, q, scales, bias)
-            np.testing.assert_allclose(got, want, rtol=1e-4, atol=1e-6)
-            # With caller-provided out/scratch buffers (the executor path).
-            out = np.empty((n, d_out), dtype=got.dtype)
-            scratch = np.empty(q.size, dtype=np.float32)
-            again = int8_linear(x, q, scales, bias, out=out, scratch=scratch)
-            assert again is out
-            np.testing.assert_array_equal(again, got)
-
-    def test_int8_conv2d_matches_dequantized_conv(self):
-        from repro.nn.functional import _im2col
-        for case in range(15):
-            rng = strategies.rng_from(19, case)
-            cfg = strategies.conv_case(rng)
-            kh, kw = cfg["kernel"]
-            x = strategies.array(
-                rng, (cfg["batch"], cfg["in_channels"], cfg["height"],
-                      cfg["width"]), dtype=strategies.float_dtype(rng))
-            w = strategies.array(
-                rng, (cfg["out_channels"], cfg["in_channels"], kh, kw),
-                dtype=np.float32)
-            bias = strategies.array(rng, (cfg["out_channels"],),
-                                    dtype=np.float32)
-            q, scales = quantize_array(w, axis=0)
-            deq = dequantize_array(q, scales, axis=0)
-            cols, oh, ow = _im2col(x, kh, kw, cfg["stride"], cfg["padding"])
-            want = (cols @ deq.reshape(deq.shape[0], -1).T + bias).reshape(
-                x.shape[0], oh, ow, -1).transpose(0, 3, 1, 2)
-            got = int8_conv2d(x, q, scales, bias, stride=cfg["stride"],
-                              padding=cfg["padding"])
-            assert got.shape == want.shape
-            np.testing.assert_allclose(got, want, rtol=1e-4, atol=1e-6)
 
 
 class TestAccuracyPreservation:

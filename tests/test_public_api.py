@@ -69,3 +69,24 @@ def test_experiment_registry_matches_design():
     from repro.experiments import ALL_EXPERIMENTS
     expected = {"fig5", "fig6", "fig7", "fig8", "fig9", "table1", "table2"}
     assert set(ALL_EXPERIMENTS) == expected
+
+
+def test_int8_is_an_archive_format_not_an_engine():
+    """Quantized weights ship and store as int8 but load as float; no
+    forward path takes a ``quantize`` switch."""
+    from repro.core.inference import ENGINES, compiled_expert_for
+    from repro.nn import quantize
+    from repro.nn.executor import compile_expert
+    from repro.nn.serialize import model_to_bytes, save_model
+    from repro.store import CheckpointStore
+    assert ENGINES == ("tape", "compiled")
+    for fn in (compile_expert, compiled_expert_for):
+        assert "quantize" not in inspect.signature(fn).parameters
+    assert set(quantize.__all__) == {
+        "quantize_array", "dequantize_array", "quantize_state_dict",
+        "dequantize_state_dict", "quantized_size_bytes", "quantize_model",
+        "quantization_error", "AlreadyQuantizedError"}
+    for fn in (model_to_bytes, save_model):
+        assert "quantize" in inspect.signature(fn).parameters
+    for fn in (CheckpointStore.save, CheckpointStore.save_experts):
+        assert "quantize_experts" in inspect.signature(fn).parameters

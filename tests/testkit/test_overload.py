@@ -108,3 +108,18 @@ class TestOverloadSoak:
         payload = json.loads(artifacts[0].read_text())
         assert payload["overload_seed"] == 9
         assert "overload_round(9)" in payload["replay"]
+
+    def test_repro_defaults_to_the_testkit_dir(self, tmp_path, monkeypatch):
+        import repro.testkit.overload as mod
+
+        def exploding_round(seed, config=None):
+            raise AssertionError("synthetic gate failure")
+
+        monkeypatch.setattr(mod, "overload_round", exploding_round)
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv("OVERLOAD_REPRO_DIR", raising=False)
+        with pytest.raises(AssertionError, match="repro"):
+            mod.overload_soak(seed=4, rounds=1)
+        assert [p.relative_to(tmp_path).as_posix()
+                for p in tmp_path.rglob("*.json")] == [
+            ".testkit-repro/overload-seed4-round0.json"]
