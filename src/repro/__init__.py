@@ -16,12 +16,23 @@ Quickstart::
     team = TeamNet.from_reference(mlp_spec(depth=8), num_experts=4)
     team.fit(train)
     print(team.accuracy(test))
-"""
 
-from . import (cascade, comm, core, data, distributed, edge, experiments,
-               moe, nn, store)
+Importing ``repro`` loads no subpackage: a serving node pays only for
+what it imports (``repro.distributed`` needs numpy alone, not scipy or the
+experiment stack).  Subpackages load on first use, and ``from repro
+import *`` still binds every one named in ``__all__``.
+"""
 
 __version__ = "1.0.0"
 
 __all__ = ["nn", "data", "core", "moe", "cascade", "comm", "distributed",
            "edge", "experiments", "store", "__version__"]
+
+
+def __getattr__(name: str):
+    # ``import repro; repro.core`` keeps working: subpackages load on
+    # first attribute access instead of at package import.
+    if name in __all__:
+        import importlib
+        return importlib.import_module(f".{name}", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -19,7 +19,6 @@ a superclass-specific background.
 from __future__ import annotations
 
 import numpy as np
-from scipy import ndimage
 
 from .dataset import Dataset
 
@@ -32,6 +31,13 @@ MACHINE_CLASSES = ("airplane", "automobile", "ship", "truck")
 ANIMAL_CLASSES = ("bird", "cat", "deer", "dog", "frog", "horse")
 
 _SIZE = 32
+
+
+def _gaussian_filter(image: np.ndarray, sigma) -> np.ndarray:
+    # scipy is imported here, not at module scope, so that importing
+    # ``repro.data`` (as the serving path does) never loads it.
+    from scipy import ndimage
+    return ndimage.gaussian_filter(image, sigma)
 
 
 def _coords():
@@ -56,7 +62,7 @@ def _nature_background(rng) -> np.ndarray:
     bottom = np.array([0.3, 0.45, 0.2]) + rng.normal(0, 0.06, 3)
     img = _vertical_gradient(np.clip(top, 0, 1), np.clip(bottom, 0, 1))
     # Leafy high-frequency mottling.
-    noise = ndimage.gaussian_filter(rng.standard_normal((_SIZE, _SIZE)), 1.2)
+    noise = _gaussian_filter(rng.standard_normal((_SIZE, _SIZE)), 1.2)
     return np.clip(img + 0.08 * noise[:, :, None], 0, 1)
 
 
@@ -73,7 +79,7 @@ def _ellipse_mask(cy, cx, ry, rx, wobble: float,
     yy, xx = _coords()
     field = ((yy - cy) / max(ry, 1e-6))**2 + ((xx - cx) / max(rx, 1e-6))**2
     if wobble > 0:
-        bump = ndimage.gaussian_filter(rng.standard_normal((_SIZE, _SIZE)), 3)
+        bump = _gaussian_filter(rng.standard_normal((_SIZE, _SIZE)), 3)
         field = field + wobble * bump
     return field <= 1.0
 
@@ -90,7 +96,7 @@ def _paint(img, mask, color, shade: float = 0.0):
 def _fur(img, mask, rng, strength: float = 0.12):
     """High-frequency texture shared by all animal classes."""
     noise = rng.standard_normal((_SIZE, _SIZE))
-    noise = ndimage.gaussian_filter(noise, 0.6)
+    noise = _gaussian_filter(noise, 0.6)
     img[mask] = np.clip(img[mask] + strength * noise[mask, None], 0, 1)
 
 
@@ -310,7 +316,7 @@ def render_cifar_image(class_name: str, rng: np.random.Generator) -> np.ndarray:
     else:
         raise ValueError(f"unknown class {class_name!r}")
     img = img + rng.normal(0.0, 0.02, img.shape)
-    img = ndimage.gaussian_filter(img, sigma=(0.4, 0.4, 0.0))
+    img = _gaussian_filter(img, sigma=(0.4, 0.4, 0.0))
     return np.clip(img, 0.0, 1.0).transpose(2, 0, 1)
 
 

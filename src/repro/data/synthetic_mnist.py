@@ -17,7 +17,6 @@ perturbed per sample.
 from __future__ import annotations
 
 import numpy as np
-from scipy import ndimage
 
 from .dataset import Dataset
 
@@ -54,6 +53,7 @@ def render_digit(digit: int, rng: np.random.Generator,
     random rotation / shear-like elastic jitter, random translation, blur and
     additive noise — a cheap approximation of handwriting variability.
     """
+    from scipy import ndimage  # data generation only; serving never loads it
     if digit not in DIGIT_GLYPHS:
         raise ValueError(f"digit must be 0-9, got {digit}")
     glyph = DIGIT_GLYPHS[digit]

@@ -56,7 +56,7 @@ from ..comm.transport import (MeteredSocket, TcpTransport, TransportStats)
 from ..core.entropy import entropy_from_probs
 from ..core.inference import (ExpertOutput, argmin_select, expert_forward,
                               expert_forward_segments, validate_engine)
-from ..nn import (CorruptModelError, Module, model_from_bytes,
+from ..nn import (CorruptModelError, Module, blas, model_from_bytes,
                   weights_fingerprint)
 from .integrity import (CanaryProber, CanarySet, IntegrityConfig,
                         IntegrityViolation, QuarantineManager, ReplyValidator,
@@ -230,6 +230,9 @@ class ExpertWorker:
     ``deploy`` message replaces the in-memory expert with the pushed
     archive (see :meth:`TeamNetMaster.redeploy`), which is how a
     standby node becomes a team member.
+
+    A running worker holds one count of the process-wide one-BLAS-thread
+    cap (:mod:`repro.nn.blas`), from ``start()`` to ``stop()``.
     """
 
     def __init__(self, expert: Module, host: str = "127.0.0.1", port: int = 0,
@@ -355,9 +358,13 @@ class ExpertWorker:
         if self._store is not None and self._expert_index is not None:
             self._reload_from_store()
         self._server.start()
+        blas.acquire()
 
     def stop(self) -> None:
+        running = self._server.running
         self._server.stop()
+        if running:
+            blas.release()
 
     def _handle_deploy(self, msg: protocol.Message) -> bytes:
         """Install a pushed expert archive; ack with DEPLOYED.
@@ -1575,26 +1582,35 @@ def deploy_local_team(experts: list[Module], degrade_on_failure: bool = False,
     data-plane defenses (:mod:`repro.distributed.integrity`); the
     expected model versions are fingerprinted from the live experts at
     deploy time, so a later weight swap on any worker is fenced.
-    Callers must ``master.close()`` then ``worker.stop()`` when done.
+    Callers must ``master.close()`` then ``worker.stop()`` when done; a
+    deploy that fails part-way stops the workers it started.  The
+    workers' BLAS cap also covers the master's local forward.
     """
     if len(experts) < 2:
         raise ValueError("a team needs >= 2 experts")
     workers = []
-    for expert in experts[1:]:
-        worker = ExpertWorker(expert, host=host, transport=transport,
-                              engine=engine)
-        worker.start()
-        workers.append(worker)
-    master = TeamNetMaster(experts[0], [w.address for w in workers],
-                           degrade_on_failure=degrade_on_failure,
-                           reply_timeout=reply_timeout,
-                           transport=transport,
-                           resilience=resilience,
-                           degradation=degradation,
-                           engine=engine,
-                           integrity=integrity,
-                           canaries=canaries,
-                           expected_versions=deployed_versions(experts,
-                                                               integrity),
-                           store=store)
+    try:
+        for expert in experts[1:]:
+            worker = ExpertWorker(expert, host=host, transport=transport,
+                                  engine=engine)
+            workers.append(worker)
+            worker.start()
+        master = TeamNetMaster(experts[0], [w.address for w in workers],
+                               degrade_on_failure=degrade_on_failure,
+                               reply_timeout=reply_timeout,
+                               transport=transport,
+                               resilience=resilience,
+                               degradation=degradation,
+                               engine=engine,
+                               integrity=integrity,
+                               canaries=canaries,
+                               expected_versions=deployed_versions(
+                                   experts, integrity),
+                               store=store)
+    except BaseException:
+        # A half-built team must not keep sockets, serve threads or the
+        # BLAS cap alive behind the caller's back.
+        for worker in workers:
+            worker.stop()
+        raise
     return master, workers

@@ -1,11 +1,15 @@
 """Tests for the TeamNet socket runtime (master/worker protocol)."""
 
+import socket
+import warnings
+
 import numpy as np
 import pytest
 
+from repro.comm.transport import TcpTransport
 from repro.core import TeamInference
-from repro.distributed import deploy_local_team
-from repro.nn import MLP
+from repro.distributed import ExpertWorker, deploy_local_team
+from repro.nn import MLP, blas
 
 
 @pytest.fixture
@@ -81,3 +85,116 @@ class TestDeployment:
             master.close()
             for w in workers:
                 w.stop()
+
+
+def _teardown(master, workers):
+    master.close()
+    for worker in workers:
+        worker.stop()
+
+
+def _listening(address) -> bool:
+    try:
+        socket.create_connection(address, timeout=1.0).close()
+    except OSError:
+        return False
+    return True
+
+
+class _RefusingTransport(TcpTransport):
+    """Listens for real, but every dial fails: the master cannot be
+    built after the workers have started."""
+
+    def connect(self, host, port, **kwargs):
+        raise ConnectionError(f"dial {host}:{port} refused")
+
+
+class TestFailedDeploy:
+    def test_started_workers_are_stopped(self, experts, monkeypatch):
+        before = blas.get_num_threads()
+        started = []
+        real_start = ExpertWorker.start
+
+        def tracking_start(worker):
+            real_start(worker)
+            started.append(worker)
+
+        monkeypatch.setattr(ExpertWorker, "start", tracking_start)
+        with pytest.raises(ConnectionError, match="refused"):
+            deploy_local_team(experts, transport=_RefusingTransport())
+        assert len(started) == len(experts) - 1
+        assert not any(_listening(w.address) for w in started)
+        assert blas.get_num_threads() == before
+
+
+@pytest.fixture
+def default_threads():
+    """The library's thread count before any team exists; every test
+    below must leave it exactly there."""
+    before = blas.get_num_threads()
+    if before is None:
+        pytest.skip("no OpenBLAS thread control in this numpy build")
+    yield before
+    assert blas.get_num_threads() == before
+
+
+class TestBlasCap:
+    def test_one_thread_while_a_team_is_live(self, experts, rng,
+                                             default_threads):
+        master, workers = deploy_local_team(experts)
+        try:
+            assert blas.get_num_threads() == 1
+            x = rng.standard_normal((4, 16))
+            np.testing.assert_array_equal(master.predict(x),
+                                          TeamInference(experts).predict(x))
+        finally:
+            _teardown(master, workers)
+        assert blas.get_num_threads() == default_threads
+
+    def test_overlapping_teams_hold_until_the_last_worker(self, experts,
+                                                          default_threads):
+        first = deploy_local_team(experts)
+        second = deploy_local_team(experts)
+        _teardown(*first)
+        assert blas.get_num_threads() == 1
+        *rest, last = second[1]
+        _teardown(second[0], rest)
+        assert blas.get_num_threads() == 1
+        last.stop()
+        assert blas.get_num_threads() == default_threads
+
+    def test_reboot_cycle_keeps_the_count_balanced(self, experts, rng,
+                                                   default_threads):
+        master, workers = deploy_local_team(experts)
+        try:
+            for worker in workers:
+                worker.stop()
+                worker.stop()        # a second stop releases nothing
+            assert blas.get_num_threads() == default_threads
+            for worker in workers:
+                worker.start()
+                worker.start()       # nor does a second start hold twice
+            assert blas.get_num_threads() == 1
+            workers[0].stop()
+            workers[0].start()
+            assert blas.get_num_threads() == 1
+        finally:
+            _teardown(master, workers)
+        assert blas.get_num_threads() == default_threads
+
+    def test_without_thread_control_deploy_warns_once(self, experts, rng,
+                                                      monkeypatch):
+        monkeypatch.setattr(blas, "_lookup", lambda: None)
+        monkeypatch.setattr(blas, "_api", None)
+        x = rng.standard_normal((4, 16))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            for _ in range(2):
+                master, workers = deploy_local_team(experts)
+                try:
+                    np.testing.assert_array_equal(
+                        master.predict(x), TeamInference(experts).predict(x))
+                finally:
+                    _teardown(master, workers)
+        assert blas.get_num_threads() is None
+        assert sum("OpenBLAS" in str(w.message) for w in caught) == 1

@@ -22,7 +22,9 @@ import os
 import numpy as np
 import pytest
 
-from repro.nn import BatchNorm2d, Linear, Module, Tensor, no_grad
+from repro.core.inference import ENGINES, expert_forward
+from repro.nn import (BatchNorm2d, Linear, Module, Tensor, blas, build_model,
+                      downsize, mlp_spec, no_grad, shake_shake_spec)
 from repro.nn.executor import TraceError, compile_expert
 from repro.testkit import strategies, write_repro_artifact
 from repro.testkit.differential import DEFAULT_REPRO_DIR
@@ -165,6 +167,34 @@ class TestBatchGeneralization:
         other = np.float32 if x.dtype == np.float64 else np.float64
         with pytest.raises(TraceError):
             compiled.run(x.astype(other))
+
+
+class TestBlasThreadCount:
+    """Serving runs under a one-BLAS-thread cap while answers computed
+    before deploy (oracles, ``TeamInference`` references) run at the
+    library default: both must produce the same bytes.  Shapes are the
+    benchmark's: its 4-expert MLP at batch 1 and 64, its Shake-Shake-8
+    at batch 1."""
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("family,shape", [
+        ("mlp", (1, 784)), ("mlp", (64, 784)), ("cnn", (1, 3, 32, 32))])
+    def test_expert_forward_is_byte_identical_at_one_thread(
+            self, family, shape, engine):
+        reference = (mlp_spec(4, width=64) if family == "mlp"
+                     else shake_shake_spec(8))
+        model = build_model(downsize(reference, 4),
+                            np.random.default_rng((7, 0)))
+        x = np.random.default_rng(0).standard_normal(shape)
+        default = expert_forward(model, x, engine=engine)
+        blas.acquire()
+        try:
+            assert blas.get_num_threads() in (None, 1)
+            capped = expert_forward(model, x, engine=engine)
+        finally:
+            blas.release()
+        _assert_bytes("probs", capped.probs, default.probs)
+        _assert_bytes("entropy", capped.entropy, default.entropy)
 
 
 class _Stateful(Module):

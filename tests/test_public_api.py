@@ -3,13 +3,19 @@ every public callable is documented."""
 
 import importlib
 import inspect
+import os
+import subprocess
+import sys
+import textwrap
 
 import pytest
+
+import repro
 
 PUBLIC_MODULES = [
     "repro",
     "repro.nn", "repro.nn.functional", "repro.nn.quantize",
-    "repro.nn.profiler",
+    "repro.nn.profiler", "repro.nn.blas",
     "repro.data", "repro.data.transforms",
     "repro.core",
     "repro.moe", "repro.moe.adaptive",
@@ -90,3 +96,42 @@ def test_int8_is_an_archive_format_not_an_engine():
         assert "quantize" in inspect.signature(fn).parameters
     for fn in (CheckpointStore.save, CheckpointStore.save_experts):
         assert "quantize_experts" in inspect.signature(fn).parameters
+
+
+def _fresh_interpreter(code: str) -> None:
+    """Run ``code`` in a new interpreter that imports this checkout's
+    ``repro``; its own asserts decide the outcome."""
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", textwrap.dedent(code)],
+                          env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert done.returncode == 0, done.stderr
+
+
+def test_serving_imports_stay_lean():
+    """A serving node loads numpy and the runtime, never scipy or the
+    training/experiment stack."""
+    _fresh_interpreter("""
+        import sys
+        import repro.distributed, repro.core, repro.comm, repro.nn
+        loaded = [name for name in ("scipy", "repro.experiments",
+                                    "repro.cascade", "repro.edge",
+                                    "repro.store") if name in sys.modules]
+        assert not loaded, loaded
+    """)
+
+
+def test_star_import_binds_every_subpackage_and_data_loads_scipy():
+    _fresh_interpreter("""
+        import sys
+        import repro
+        from repro import *
+        for name in repro.__all__:
+            assert name in globals(), name
+        assert "scipy" not in sys.modules
+        assert len(data.synthetic_mnist(8)) == 8
+        assert len(data.synthetic_cifar(8)) == 8
+        assert "scipy" in sys.modules
+    """)
