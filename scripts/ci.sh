@@ -66,6 +66,8 @@
 #       (python3 -m bench run --smoke) — every answer checked against
 #       TeamInference, so a broken request path fails here even when no
 #       number is being compared.
+#   scripts/ci.sh --examples                 # user-facing entry points:
+#       runs every script in examples/ once; any non-zero exit fails.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -81,9 +83,10 @@ export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 # PREFIX names the knobs: the sweep runs once per seed in ${PREFIX}_SEEDS
 # with ${PREFIX}_SEED exported, ${PREFIX}_ROUNDS rounds each, failing
 # rounds leaving repro artifacts in ${PREFIX}_REPRO_DIR.  A row without a
-# PREFIX runs its test paths once, unseeded.  A follow-up under
-# benchmarks/ is one pytest file run with its output shown (extra
-# arguments are pytest's, so it gets them too); anything else is a
+# PREFIX runs its test paths once, unseeded; a row without test paths
+# runs only its follow-up.  A follow-up under benchmarks/ is one pytest
+# file run with its output shown (extra arguments are pytest's, so it
+# gets them too); examples/ runs each script in it; anything else is a
 # command run as written.
 declare -A MODES=(
     [--testkit]="testkit sweep|TESTKIT|0 1 2|.testkit-repro||tests/testkit||"
@@ -94,6 +97,7 @@ declare -A MODES=(
     [--integrity]="integrity soak|INTEGRITY|0 1 2|.testkit-repro|8|tests/testkit/test_integrity.py tests/distributed/test_integrity.py|integrity bench: detection within the probe budget|benchmarks/test_bench_integrity.py"
     [--overload]="overload soak|OVERLOAD|0 1 2|.testkit-repro|3|tests/testkit/test_overload.py tests/distributed/test_overload.py|overload bench: goodput floor under a 10x burst|benchmarks/test_bench_overload.py"
     [--bench]="bench harness unit tests|||||bench/tests|bench smoke: all five workloads once, answers checked|python3 -m bench run --smoke"
+    [--examples]="||||||examples: every script runs to a zero exit|examples/"
 )
 
 run_mode() {
@@ -117,7 +121,7 @@ run_mode() {
                 python -m pytest -x -q $paths \
                 --per-test-timeout="$PER_TEST_TIMEOUT" "$@"
         done
-    else
+    elif [[ -n "$paths" ]]; then
         echo "=== $label ==="
         # shellcheck disable=SC2086
         timeout --signal=INT "$SUITE_TIMEOUT" python -m pytest $paths -q "$@"
@@ -129,6 +133,11 @@ run_mode() {
         if [[ "$then_cmd" == benchmarks/* ]]; then
             timeout --signal=INT "$SUITE_TIMEOUT" \
                 python -m pytest -x -q -s "$then_cmd" -p no:cacheprovider "$@"
+        elif [[ "$then_cmd" == examples/ ]]; then
+            for example in examples/*.py; do
+                echo "--- $example ---"
+                timeout --signal=INT "$SUITE_TIMEOUT" python "$example"
+            done
         else
             # shellcheck disable=SC2086  # a command line, word-split
             timeout --signal=INT "$SUITE_TIMEOUT" $then_cmd

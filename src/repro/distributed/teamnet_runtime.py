@@ -956,9 +956,14 @@ class TeamNetMaster:
         latency EWMA already exceeds the hedge delay (it is *expected* to
         miss it).  Hedging is skipped entirely when cutting the suspects
         loose could leave the answer below the quorum — better to burn
-        the deadline than to refuse an answer we could have had.
+        the deadline than to refuse an answer we could have had.  With
+        degradation off the answer needs every peer, so a master that
+        may not degrade never hedges: a fired hedge would fail a merely
+        slow peer and close its connection.
         """
         cfg = self.resilience
+        if not self.degrade_on_failure:
+            return None, set()
         if self.hedging_override is False:
             # Brownout ladder rung 1: hedging off under sustained
             # pressure — hedge deadlines convert slowness into failures

@@ -89,23 +89,30 @@ def one_hot(labels: np.ndarray, num_classes: int) -> np.ndarray:
 def _im2col(x, kh, kw, stride, padding):
     """Return (cols, out_h, out_w) with cols of shape (n*p, c*kh*kw).
 
-    Built from a strided window view so the only copy is the final reshape,
-    and the heavy lifting downstream is a single BLAS matmul.
+    The columns are gathered with one copy from a read-only window view
+    into a buffer ordered (c, kh, kw, n, out_h, out_w), so every inner
+    run of the copy is an image row rather than a kw-element kernel row;
+    ``cols`` is the transposed view of that buffer.  Works on any input
+    strides (a conv's own NCHW output is a transposed view).  The heavy
+    lifting downstream is a single BLAS matmul.
     """
     n, c, h, w = x.shape
     if padding > 0:
-        x = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    x = np.ascontiguousarray(x)
+        padded = np.zeros((n, c, h + 2 * padding, w + 2 * padding),
+                          dtype=x.dtype)
+        padded[:, :, padding:padding + h, padding:padding + w] = x
+        x = padded
     hp, wp = x.shape[2], x.shape[3]
     out_h = (hp - kh) // stride + 1
     out_w = (wp - kw) // stride + 1
     sn, sc, sh, sw = x.strides
     windows = np.lib.stride_tricks.as_strided(
         x,
-        shape=(n, out_h, out_w, c, kh, kw),
-        strides=(sn, sh * stride, sw * stride, sc, sh, sw),
+        shape=(c, kh, kw, n, out_h, out_w),
+        strides=(sc, sh, sw, sn, sh * stride, sw * stride),
+        writeable=False,
     )
-    cols = windows.reshape(n * out_h * out_w, c * kh * kw)
+    cols = windows.copy().reshape(c * kh * kw, n * out_h * out_w).T
     return cols, out_h, out_w
 
 

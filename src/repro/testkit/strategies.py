@@ -111,7 +111,7 @@ def conv_case(rng: np.random.Generator) -> dict:
     kh = int(rng.integers(1, 4))
     kw = int(rng.integers(1, 4))
     stride = int(rng.integers(1, 3))
-    padding = int(rng.integers(0, 2))
+    padding = int(rng.integers(0, 3))
     min_h = max(1, kh - 2 * padding)
     min_w = max(1, kw - 2 * padding)
     return {
@@ -192,12 +192,12 @@ def executor_case(rng: np.random.Generator) -> tuple[Module, np.ndarray]:
 
     Samples across the three architecture families the executor lowers
     differently — plain MLPs (linear+relu fusion), conv stacks with
-    batch-norm (conv+bn folding), and layer-normed MLPs (fallback replay
-    of mean/var/rsqrt ops) — with the usual hostile shapes: batch 1, odd
-    feature dims, non-square kernels, float32/float64 inputs.  Batch-norm
-    running statistics are warmed by training-mode forwards first, so the
-    folded eval path sees non-trivial mean/var.  The model is returned in
-    eval mode.
+    batch-norm (conv+bn folding; half of them feed a second conv), and
+    layer-normed MLPs (fallback replay of mean/var/rsqrt ops) — with the
+    usual hostile shapes: batch 1, odd feature dims, non-square kernels,
+    float32/float64 inputs.  Batch-norm running statistics are warmed by
+    training-mode forwards first, so the folded eval path sees
+    non-trivial mean/var.  The model is returned in eval mode.
     """
     family = ("mlp", "conv", "layernorm")[int(rng.integers(0, 3))]
     dtype = float_dtype(rng)
@@ -221,6 +221,19 @@ def executor_case(rng: np.random.Generator) -> tuple[Module, np.ndarray]:
             layers.append(BatchNorm2d(cout))
         if rng.random() < 0.7:
             layers.append(ReLU())
+        if rng.random() < 0.5:
+            # A conv fed by a conv: its input is the non-contiguous NCHW
+            # view of an NHWC buffer that a conv emits.
+            pad2 = int(rng.integers(0, 3))
+            stride2 = int(rng.integers(1, 3))
+            kh2 = min(int(rng.integers(1, 4)), out_h + 2 * pad2)
+            kw2 = min(int(rng.integers(1, 4)), out_w + 2 * pad2)
+            cout2 = int(rng.integers(1, 4))
+            layers.append(Conv2d(cout, cout2, (kh2, kw2), stride=stride2,
+                                 padding=pad2, rng=seed))
+            cout = cout2
+            out_h = (out_h + 2 * pad2 - kh2) // stride2 + 1
+            out_w = (out_w + 2 * pad2 - kw2) // stride2 + 1
         layers += [Flatten(),
                    Linear(cout * out_h * out_w, num_classes(rng), rng=seed)]
         model = Sequential(*layers)

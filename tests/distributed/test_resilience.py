@@ -267,6 +267,24 @@ class TestHedgedGather:
             assert not stats.hedged
             assert stats.participants == 4
 
+    def test_no_hedging_without_degradation(self):
+        """A master that may not degrade needs every peer's answer, so it
+        waits out the straggler instead of failing it at the hedge delay
+        (which would close the peer and fail every later request)."""
+        experts, x, schedule, resilience = straggler_setup()
+        with forbid_sockets(), \
+                SimCluster(experts, schedule, degrade_on_failure=False,
+                           reply_timeout=5.0,
+                           resilience=resilience) as cluster:
+            for _ in range(6):
+                preds, _, stats = cluster.infer(x)
+                assert not stats.hedged
+                assert stats.participants == 4
+            assert cluster.surviving_team == [0, 1, 2, 3]
+            assert cluster.master.worker_health[1].hedges == 0
+            reference = TeamInference(experts)
+            assert preds.tobytes() == reference.predict(x).tobytes()
+
     def test_hedging_disabled_waits_for_straggler(self):
         experts, x, schedule, resilience = straggler_setup(hedging=False)
         with SimCluster(experts, schedule, reply_timeout=5.0,

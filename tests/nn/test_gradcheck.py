@@ -30,6 +30,25 @@ def numeric_grad(fn, arrays, index, eps=1e-6):
     return grad
 
 
+def direct_conv2d(x, w, b, stride, padding):
+    """Cross-correlation by a loop over output pixels, in float64: an
+    independent reference for ``F.conv2d``'s im2col + GEMM."""
+    n, c, h, wd = x.shape
+    o, _, kh, kw = w.shape
+    xp = np.zeros((n, c, h + 2 * padding, wd + 2 * padding))
+    xp[:, :, padding:padding + h, padding:padding + wd] = x
+    out_h = (h + 2 * padding - kh) // stride + 1
+    out_w = (wd + 2 * padding - kw) // stride + 1
+    out = np.empty((n, o, out_h, out_w))
+    for i in range(out_h):
+        for j in range(out_w):
+            patch = xp[:, :, i * stride:i * stride + kh,
+                       j * stride:j * stride + kw]
+            out[:, :, i, j] = np.tensordot(patch, w, axes=([1, 2, 3],
+                                                         [1, 2, 3])) + b
+    return out
+
+
 def check(fn_tensor, fn_numpy, arrays, atol=1e-6, rtol=1e-4):
     """Assert analytic grads of fn_tensor match numeric grads of fn_numpy."""
     tensors = [Tensor(a, requires_grad=True) for a in arrays]
@@ -342,16 +361,22 @@ class TestRandomizedShapeSweep:
                     f"config {cfg}: {exc}") from exc
 
     def test_conv2d_random_shapes(self):
-        for case in range(6):
+        seen = set()
+        for case in range(12):
             rng = strategies.rng_from(self.SWEEP_SEED, 100 + case)
             cfg = strategies.conv_case(rng)
             kh, kw = cfg["kernel"]
             stride, padding = cfg["stride"], cfg["padding"]
+            seen |= {f"stride{stride}", f"padding{padding}",
+                     "rectangular" if kh != kw else "square"}
             x = rng.standard_normal((cfg["batch"], cfg["in_channels"],
                                      cfg["height"], cfg["width"]))
             w = rng.standard_normal((cfg["out_channels"],
                                      cfg["in_channels"], kh, kw))
             b = rng.standard_normal((cfg["out_channels"],))
+            if self._check_conv_forward(x, w, b, stride, padding, cfg,
+                                        case):
+                seen.add("non-contiguous")
 
             def tensor_fn(xt, wt, bt):
                 return (F.conv2d(xt, wt, bt, stride=stride,
@@ -368,6 +393,29 @@ class TestRandomizedShapeSweep:
                 raise AssertionError(
                     f"conv case {case} (seed {self.SWEEP_SEED}) "
                     f"config {cfg}: {exc}") from exc
+        assert {"stride2", "padding0", "padding1", "padding2",
+                "rectangular", "non-contiguous"} <= seen, seen
+
+    def _check_conv_forward(self, x, w, b, stride, padding, cfg, case):
+        """Forward values against a direct loop correlation, in float32
+        and float64, on a contiguous input and on the non-contiguous
+        NCHW view of an NHWC buffer that a conv emits.  Returns whether
+        that view really was non-contiguous (not so for 1-wide shapes)."""
+        want = direct_conv2d(x, w, b, stride, padding)
+        for dtype, tol in ((np.float64, 1e-12), (np.float32, 1e-5)):
+            xd, wd, bd = (a.astype(dtype) for a in (x, w, b))
+            view = np.ascontiguousarray(
+                xd.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
+            outs = [F.conv2d(Tensor(a), Tensor(wd), Tensor(bd),
+                             stride=stride, padding=padding).data
+                    for a in (xd, view)]
+            label = (f"conv case {case} (seed {self.SWEEP_SEED}) "
+                     f"{np.dtype(dtype).name} config {cfg}")
+            assert outs[0].dtype == dtype, label
+            np.testing.assert_allclose(outs[0], want, rtol=tol, atol=tol,
+                                       err_msg=label)
+            assert outs[1].tobytes() == outs[0].tobytes(), label
+        return not view.flags.c_contiguous
 
     def test_conv2d_layer_accepts_rectangular_kernels(self, rng):
         layer = Conv2d(2, 3, kernel_size=(1, 3), padding=1, rng=rng)
