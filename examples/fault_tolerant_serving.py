@@ -49,12 +49,12 @@ from repro.nn import build_model, downsize, mlp_spec
 from repro.store import CheckpointStore
 
 
-def main() -> None:
+def run(checkpoint_dir: str) -> None:
+    """The six steps, checkpointing the team into ``checkpoint_dir``."""
     print("=== Fault-tolerant serving & capacity planning ===\n")
     rng = np.random.default_rng(4)
     dataset = synthetic_mnist(1600, seed=4)
     train, test = train_test_split(dataset, 0.2, rng=rng)
-    checkpoint_dir = tempfile.mkdtemp(prefix="teamnet-ckpt-")
 
     print("[1/6] training a 3-expert team (checkpointing every epoch) ...")
     team = TeamNet.from_reference(
@@ -214,6 +214,12 @@ def main() -> None:
           "redeploy from the checkpoint store onto standbys, and even "
           "the master itself fails over to a hot standby without "
           "dropping a request.")
+
+
+def main() -> None:
+    # The checkpoint directory lives exactly as long as the run.
+    with tempfile.TemporaryDirectory(prefix="teamnet-ckpt-") as checkpoint_dir:
+        run(checkpoint_dir)
 
 
 if __name__ == "__main__":

@@ -67,7 +67,9 @@
 #       TeamInference, so a broken request path fails here even when no
 #       number is being compared.
 #   scripts/ci.sh --examples                 # user-facing entry points:
-#       runs every script in examples/ once; any non-zero exit fails.
+#       runs every script in examples/ once; any non-zero exit fails, and
+#       so does a script that leaves a new ${TMPDIR:-/tmp}/teamnet-ckpt-*
+#       directory behind.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -97,8 +99,14 @@ declare -A MODES=(
     [--integrity]="integrity soak|INTEGRITY|0 1 2|.testkit-repro|8|tests/testkit/test_integrity.py tests/distributed/test_integrity.py|integrity bench: detection within the probe budget|benchmarks/test_bench_integrity.py"
     [--overload]="overload soak|OVERLOAD|0 1 2|.testkit-repro|3|tests/testkit/test_overload.py tests/distributed/test_overload.py|overload bench: goodput floor under a 10x burst|benchmarks/test_bench_overload.py"
     [--bench]="bench harness unit tests|||||bench/tests|bench smoke: all five workloads once, answers checked|python3 -m bench run --smoke"
-    [--examples]="||||||examples: every script runs to a zero exit|examples/"
+    [--examples]="||||||examples: every script exits 0 and leaves no checkpoint directory|examples/"
 )
+
+# Checkpoint directories an example may create under the temp root,
+# sorted for comm(1); an example must remove its own before it exits.
+checkpoint_dirs() {
+    compgen -G "${TMPDIR:-/tmp}/teamnet-ckpt-*" | sort || true
+}
 
 run_mode() {
     local label prefix seeds repro rounds paths then_label then_cmd
@@ -134,9 +142,16 @@ run_mode() {
             timeout --signal=INT "$SUITE_TIMEOUT" \
                 python -m pytest -x -q -s "$then_cmd" -p no:cacheprovider "$@"
         elif [[ "$then_cmd" == examples/ ]]; then
+            local before leaked
             for example in examples/*.py; do
                 echo "--- $example ---"
+                before=$(checkpoint_dirs)
                 timeout --signal=INT "$SUITE_TIMEOUT" python "$example"
+                leaked=$(comm -13 <(echo "$before") <(checkpoint_dirs))
+                if [[ -n "$leaked" ]]; then
+                    echo "$example left behind: $leaked" >&2
+                    exit 1
+                fi
             done
         else
             # shellcheck disable=SC2086  # a command line, word-split

@@ -17,8 +17,9 @@ from ..nn import Module, Tensor, no_grad
 from ..nn import functional as F
 
 __all__ = [
-    "predictive_entropy", "entropy_from_probs", "entropy_matrix",
-    "mean_entropy", "abs_deviation", "relative_mean_abs_deviation",
+    "predictive_entropy", "softmax_entropy", "entropy_from_probs",
+    "entropy_matrix", "mean_entropy", "abs_deviation",
+    "relative_mean_abs_deviation",
 ]
 
 _EPS = 1e-12
@@ -46,6 +47,27 @@ def predictive_entropy(logits) -> np.ndarray:
     p = np.exp(log_p)
     entropy = -(p * log_p).sum(axis=-1)
     return np.where(finite, entropy, np.inf)
+
+
+def softmax_entropy(logits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Softmax probabilities and predictive entropy of each row of
+    ``logits`` (N, C), from one shifted exponential.
+
+    ``probs`` is :func:`repro.nn.functional.softmax`, expression for
+    expression; ``entropy`` is ``-sum(p * log p)`` with
+    ``log p = shifted - log z``.  Both keep the dtype of ``logits``.  As
+    in :func:`predictive_entropy`, a row with a NaN/inf logit has entropy
+    ``+inf`` so the arg-min gate can never select it.
+    """
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    exp = np.exp(shifted)
+    z = exp.sum(axis=-1, keepdims=True)
+    probs = exp / z
+    entropy = -(probs * (shifted - np.log(z))).sum(axis=-1)
+    finite = np.isfinite(logits).all(axis=-1)
+    if not finite.all():
+        entropy = np.where(finite, entropy, np.inf)
+    return probs, entropy
 
 
 def entropy_from_probs(probs: np.ndarray) -> np.ndarray:

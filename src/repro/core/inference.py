@@ -16,13 +16,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..nn import Module, Tensor, no_grad
-from ..nn import functional as F
 from ..nn.executor import compile_expert
-from .entropy import predictive_entropy
+from .entropy import softmax_entropy
 
 __all__ = ["ExpertOutput", "argmin_select", "majority_vote",
            "expert_forward", "expert_forward_segments", "TeamInference",
-           "ENGINES", "validate_engine", "compiled_expert_for"]
+           "ENGINES", "validate_engine", "compiled_expert_for",
+           "expert_dtype", "team_dtype"]
 
 #: Inference engines selectable throughout the serving stack.
 #: ``tape``     — the autograd forward (reference semantics).
@@ -39,18 +39,51 @@ def validate_engine(engine: str) -> str:
     return engine
 
 
-# Compiled executors per expert module, keyed by input signature.  A
-# WeakKeyDictionary so redeploying (swapping the module object) drops the
-# stale program with the old weights.
+# Per expert module: its compute dtype, and its compiled executors keyed
+# by feature shape.  WeakKeyDictionaries, so redeploying (swapping the
+# module object) drops the stale entries with the old weights.
+_DTYPES: "weakref.WeakKeyDictionary[Module, np.dtype]" = \
+    weakref.WeakKeyDictionary()
 _COMPILED: "weakref.WeakKeyDictionary[Module, dict]" = \
     weakref.WeakKeyDictionary()
 _COMPILED_LOCK = threading.Lock()
 
 
+def expert_dtype(expert: Module) -> np.dtype:
+    """The compute dtype of ``expert``: the one dtype its parameters share.
+
+    Every forward on the inference path runs in it — inputs are cast to
+    it, never promoted past it.  Read once per module and cached; raises
+    ``ValueError`` for a module without parameters or with parameters
+    of mixed dtypes.
+    """
+    dtype = _DTYPES.get(expert)
+    if dtype is None:
+        dtypes = {p.data.dtype for p in expert.parameters()}
+        if len(dtypes) != 1:
+            raise ValueError(
+                f"an expert needs parameters of one dtype to fix its "
+                f"compute dtype, got {sorted(map(str, dtypes))}")
+        dtype = _DTYPES[expert] = dtypes.pop()
+    return dtype
+
+
+def team_dtype(experts: list[Module]) -> np.dtype:
+    """The one compute dtype of a team; ``ValueError`` when the experts'
+    dtypes differ (a team answers at one precision)."""
+    dtypes = [expert_dtype(expert) for expert in experts]
+    if len(set(dtypes)) != 1:
+        raise ValueError(f"experts disagree on their dtype: "
+                         f"{[str(d) for d in dtypes]}")
+    return dtypes[0]
+
+
 def compiled_expert_for(expert: Module, x: np.ndarray):
     """Fetch (or lazily build) the compiled executor for ``expert`` at
-    the input signature of ``x`` (feature shape + dtype; batch is free)."""
-    key = (x.shape[1:], x.dtype.str)
+    the feature shape of ``x`` (batch is free).  The program computes in
+    :func:`expert_dtype`, so one program serves each feature shape; its
+    ``run`` takes inputs already cast to that dtype."""
+    key = x.shape[1:]
     with _COMPILED_LOCK:
         per_expert = _COMPILED.get(expert)
         if per_expert is None:
@@ -58,7 +91,8 @@ def compiled_expert_for(expert: Module, x: np.ndarray):
             _COMPILED[expert] = per_expert
         compiled = per_expert.get(key)
     if compiled is None:
-        compiled = compile_expert(expert, x)
+        compiled = compile_expert(
+            expert, np.asarray(x, dtype=expert_dtype(expert)))
         with _COMPILED_LOCK:
             per_expert[key] = compiled
     return compiled
@@ -80,28 +114,26 @@ def expert_forward(expert: Module, x: np.ndarray,
                    engine: str = "tape") -> ExpertOutput:
     """Run one expert in eval mode and compute (probs, entropy).
 
-    ``engine`` selects the forward implementation (see :data:`ENGINES`).
-    The compiled engine computes softmax/entropy with the exact numpy
-    expressions the tape ops use, so for networks the executor replays
-    byte-identically the whole ``ExpertOutput`` is byte-identical too.
+    ``x`` is cast to the expert's dtype (:func:`expert_dtype`) — a no-op
+    when the caller already sent it.  ``engine`` selects the forward
+    implementation (see :data:`ENGINES`); both engines share one
+    softmax/entropy epilogue (:func:`~repro.core.entropy.softmax_entropy`),
+    so for networks the executor replays byte-identically the whole
+    ``ExpertOutput`` is byte-identical too.
     """
+    x = np.asarray(x, dtype=expert_dtype(expert))
     if engine != "tape":
         validate_engine(engine)
-        x = np.asarray(x)
-        compiled = compiled_expert_for(expert, x)
-        logits = compiled.run(x)
-        shifted = logits - logits.max(axis=-1, keepdims=True)
-        exp = np.exp(shifted)
-        probs = exp / exp.sum(axis=-1, keepdims=True)
-        return ExpertOutput(probs=probs, entropy=predictive_entropy(logits))
-    was_training = expert.training
-    expert.eval()
-    with no_grad():
-        logits = expert(Tensor(np.asarray(x)))
-        probs = F.softmax(logits, axis=-1).data
-    if was_training:
-        expert.train()
-    return ExpertOutput(probs=probs, entropy=predictive_entropy(logits))
+        logits = compiled_expert_for(expert, x).run(x)
+    else:
+        was_training = expert.training
+        expert.eval()
+        with no_grad():
+            logits = expert(Tensor(x)).data
+        if was_training:
+            expert.train()
+    probs, entropy = softmax_entropy(logits)
+    return ExpertOutput(probs=probs, entropy=entropy)
 
 
 def expert_forward_segments(expert: Module, x: np.ndarray,
@@ -174,7 +206,10 @@ class TeamInference:
 
     This is the *functional* reference implementation: the distributed
     socket runtime (:mod:`repro.distributed.teamnet_runtime`) must produce
-    byte-identical selections (asserted in the integration tests).
+    byte-identical selections (asserted in the integration tests).  The
+    team computes in its experts' one dtype (:func:`team_dtype`): a
+    caller's input is cast to it once, so a float64 batch sent to a
+    float32 team gets float32-precision answers.
     """
 
     def __init__(self, experts: list[Module], engine: str = "tape"):
@@ -182,8 +217,10 @@ class TeamInference:
             raise ValueError("need at least one expert")
         self.experts = experts
         self.engine = validate_engine(engine)
+        self.dtype = team_dtype(experts)
 
     def forward_all(self, x: np.ndarray) -> list[ExpertOutput]:
+        x = np.asarray(x, dtype=self.dtype)
         return [expert_forward(e, x, engine=self.engine)
                 for e in self.experts]
 

@@ -48,7 +48,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from ..core.entropy import entropy_from_probs
-from ..core.inference import ExpertOutput, expert_forward
+from ..core.inference import ExpertOutput, expert_forward, team_dtype
 
 __all__ = ["IntegrityConfig", "IntegrityViolation", "ReplyValidator",
            "CanarySet", "make_canary_set", "CanaryProber",
@@ -208,7 +208,12 @@ class CanarySet:
         return arrays
 
     @classmethod
-    def from_arrays(cls, arrays: dict[str, np.ndarray]) -> "CanarySet":
+    def from_arrays(cls, arrays: dict[str, np.ndarray],
+                    dtype=None) -> "CanarySet":
+        """Inverse of :meth:`to_arrays`.  ``dtype`` (the team's) casts
+        the probe batch: archives written before inputs were cast at the
+        team boundary hold it in the caller's dtype, which workers now
+        refuse."""
         golden = {}
         for name in arrays:
             if name.startswith("probs_"):
@@ -216,7 +221,7 @@ class CanarySet:
                 golden[index] = ExpertOutput(
                     probs=np.asarray(arrays[name]),
                     entropy=np.asarray(arrays[f"entropy_{index}"]))
-        return cls(x=np.asarray(arrays["x"]), golden=golden)
+        return cls(x=np.asarray(arrays["x"], dtype=dtype), golden=golden)
 
 
 def make_canary_set(experts, x: np.ndarray,
@@ -225,9 +230,10 @@ def make_canary_set(experts, x: np.ndarray,
 
     Run at deploy time, on the exact weights being deployed, with the
     team's serving engine — the golden outputs must be what an honest
-    worker will compute, bit for bit.
+    worker will compute, bit for bit.  ``x`` is stored in the team dtype,
+    the only dtype a worker accepts.
     """
-    x = np.asarray(x)
+    x = np.asarray(x, dtype=team_dtype(experts))
     golden = {index: expert_forward(expert, x, engine=engine)
               for index, expert in enumerate(experts)}
     return CanarySet(x=x, golden=golden)

@@ -569,12 +569,12 @@ class TeamNetServer:
                         deadline_budget_s=whole_budget,
                         segment_budgets_s=segment_budgets)
                     local = expert_forward_segments(self.master.expert,
-                                                    batch_x, segments,
+                                                    pending.x, segments,
                                                     engine=self.master.engine)
                 else:
                     pending = self.master._begin(
                         batch_x, deadline_budget_s=whole_budget)
-                    local = expert_forward(self.master.expert, batch_x,
+                    local = expert_forward(self.master.expert, pending.x,
                                            engine=self.master.engine)
             except Exception as exc:  # noqa: BLE001 - delivered via futures
                 late = 0

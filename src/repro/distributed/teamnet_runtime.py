@@ -54,8 +54,9 @@ from ..comm.demux import (FRAME_OVERHEAD_BYTES, ReplyDemux, ReplySlot,
 from ..comm.server import FrameServer
 from ..comm.transport import (MeteredSocket, TcpTransport, TransportStats)
 from ..core.entropy import entropy_from_probs
-from ..core.inference import (ExpertOutput, argmin_select, expert_forward,
-                              expert_forward_segments, validate_engine)
+from ..core.inference import (ExpertOutput, argmin_select, expert_dtype,
+                              expert_forward, expert_forward_segments,
+                              team_dtype, validate_engine)
 from ..nn import (CorruptModelError, Module, blas, model_from_bytes,
                   weights_fingerprint)
 from .integrity import (CanaryProber, CanarySet, IntegrityConfig,
@@ -471,11 +472,22 @@ class ExpertWorker:
             entropy=np.concatenate(ent_parts, axis=0)), expired
 
     def _handle_infer(self, msg: protocol.Message) -> bytes:
-        """INFER and CANARY: run the expert, reply RESULT (or EXPIRED)."""
+        """INFER and CANARY: run the expert, reply RESULT (or EXPIRED;
+        ERROR for an input that is not in the expert's dtype)."""
         # Replies echo the request's seq so the master can correlate
         # them: a duplicated or reordered reply from an earlier request
         # must never be mistaken for the answer to the current one.
         seq = msg.meta.get("seq")
+        # The expert's dtype is the compute dtype: the master casts at
+        # its boundary, so an input in any other dtype is refused, not
+        # silently promoted into a forward at another precision.
+        x = msg.arrays.get("x")
+        dtype = expert_dtype(self.expert)
+        if x is not None and x.dtype != dtype:
+            return protocol.encode(protocol.ERROR, {
+                "error": f"input dtype {x.dtype} is not the expert's "
+                         f"{dtype}",
+                "expected_dtype": dtype.name, "seq": seq})
         # Deadline shedding: a request whose budget is already spent
         # gets a typed EXPIRED reply instead of a wasted forward — the
         # master books it as shed, never as a failure.
@@ -578,6 +590,9 @@ class TeamNetMaster:
                  retry_budget: RetryBudget | None = None,
                  clock=None):
         self.expert = expert
+        #: the team's compute dtype: every broadcast input is cast to it
+        #: once, before encode, and workers refuse any other
+        self.dtype = expert_dtype(expert)
         self.engine = validate_engine(engine)
         self.store = store
         # Leadership identity (master failover).  With an ``epoch`` set,
@@ -651,7 +666,7 @@ class TeamNetMaster:
                                                        or {})
         if (canaries is None and integrity is not None
                 and store is not None and hasattr(store, "load_canary")):
-            canaries = store.load_canary()
+            canaries = store.load_canary(dtype=self.dtype)
         self._prober = (CanaryProber(integrity, canaries)
                         if integrity is not None and canaries is not None
                         else None)
@@ -1028,6 +1043,8 @@ class TeamNetMaster:
         so workers sharing a comparable clock can charge transit time
         and shed expired work before the forward.
 
+        ``x`` is cast to the team dtype here, once; the returned
+        :class:`_Pending` carries the cast batch for the local forward.
         Registers one reply slot per peer, armed with the hedge delay for
         suspects and ``reply_timeout`` otherwise.  Returns the
         :class:`_Pending` handle that :meth:`_finish` turns into an
@@ -1035,7 +1052,7 @@ class TeamNetMaster:
         pipeline — as long as a single thread at a time calls ``_begin``
         (framed sends on a shared connection must not interleave).
         """
-        x = np.asarray(x)
+        x = np.asarray(x, dtype=self.dtype)
         inference = InferenceStats()
         with self._lock:
             self._require_leadership()
@@ -1586,13 +1603,16 @@ def deploy_local_team(experts: list[Module], degrade_on_failure: bool = False,
     :mod:`repro.distributed.resilience`.  ``integrity`` arms the
     data-plane defenses (:mod:`repro.distributed.integrity`); the
     expected model versions are fingerprinted from the live experts at
-    deploy time, so a later weight swap on any worker is fenced.
-    Callers must ``master.close()`` then ``worker.stop()`` when done; a
-    deploy that fails part-way stops the workers it started.  The
-    workers' BLAS cap also covers the master's local forward.
+    deploy time, so a later weight swap on any worker is fenced.  The
+    experts must share one parameter dtype, which becomes the team's
+    compute and wire dtype (``ValueError`` otherwise).  Callers must
+    ``master.close()`` then ``worker.stop()`` when done; a deploy that
+    fails part-way stops the workers it started.  The workers' BLAS cap
+    also covers the master's local forward.
     """
     if len(experts) < 2:
         raise ValueError("a team needs >= 2 experts")
+    team_dtype(experts)
     workers = []
     try:
         for expert in experts[1:]:

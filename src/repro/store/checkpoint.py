@@ -317,15 +317,17 @@ class CheckpointStore:
              "num_experts": len(canaries.golden),
              "rows": int(np.asarray(canaries.x).shape[0])})
 
-    def load_canary(self):
-        """The newest valid persisted canary set, or None if none exists."""
+    def load_canary(self, dtype=None):
+        """The newest valid persisted canary set, or None if none exists;
+        ``dtype`` (the team's) casts its probe batch."""
         from ..distributed.integrity import CanarySet  # local: avoid cycle
         from .artifact import NoValidGenerationError
         try:
             entries, _ = self._canaries().read_generation()
         except NoValidGenerationError:
             return None
-        return CanarySet.from_arrays(_bytes_to_arrays(entries["canary.npz"]))
+        return CanarySet.from_arrays(_bytes_to_arrays(entries["canary.npz"]),
+                                     dtype=dtype)
 
     # -------------------------------------------------------------- roster
     def _rosters(self) -> ArtifactStore:

@@ -16,6 +16,7 @@ import threading
 
 import numpy as np
 
+from ..core.inference import team_dtype
 from ..distributed.failover import StandbyMaster
 from ..distributed.resilience import LeaseConfig, ResilienceConfig
 from ..distributed.teamnet_runtime import (ExpertWorker, TeamNetMaster,
@@ -38,7 +39,8 @@ class SimCluster:
     *real* backstop for in-process compute, but scripted latency and
     drops resolve against it virtually — a fully-faulted gather returns
     in microseconds, not after the deadline.  ``degradation`` passes
-    through to the master (quorum policy).
+    through to the master (quorum policy).  The experts must share one
+    parameter dtype, the team's compute and wire dtype.
     """
 
     def __init__(self, experts: list[Module],
@@ -51,6 +53,7 @@ class SimCluster:
                  retry_budget=None):
         if len(experts) < 2:
             raise ValueError("a team needs >= 2 experts")
+        team_dtype(experts)
         self.experts = list(experts)
         self.network = SimNetwork(schedule)
         # Workers and master share the fabric's virtual clock: deadline
@@ -191,6 +194,7 @@ class SimFailoverCluster:
             raise ValueError("a team needs >= 2 experts")
         if n_standbys < 1:
             raise ValueError("a failover cluster needs >= 1 standby")
+        team_dtype(experts)
         self.experts = list(experts)
         self.network = SimNetwork(schedule)
         self.lease = lease if lease is not None else LeaseConfig()

@@ -8,6 +8,8 @@ bucket; and sustained pressure degrades service deliberately (hedging
 off, quorum floor, linger off) and recovers the same way.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -304,13 +306,14 @@ class StubMaster:
                                  "segment_budgets_s": segment_budgets_s})
         if self.on_begin is not None:
             self.on_begin()
-        return ("pending", np.asarray(x))
+        # The server runs its local forward on ``pending.x``, the batch
+        # as ``_begin`` cast it.
+        return SimpleNamespace(x=np.asarray(x))
 
     def _finish(self, pending, local):
         if self.on_finish is not None:
             self.on_finish()
-        _, x = pending
-        return local.probs, np.zeros(len(x), dtype=np.int64), \
+        return local.probs, np.zeros(len(pending.x), dtype=np.int64), \
             InferenceStats()
 
 
