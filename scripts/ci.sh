@@ -65,11 +65,12 @@
 #       BENCHMARK.json workloads against the real runtime
 #       (python3 -m bench run --smoke) — every answer checked against
 #       TeamInference, so a broken request path fails here even when no
-#       number is being compared.
+#       number is being compared.  A process whose command line still
+#       carries "-m bench" after the smoke run exits fails the mode.
 #   scripts/ci.sh --examples                 # user-facing entry points:
 #       runs every script in examples/ once; any non-zero exit fails, and
 #       so does a script that leaves a new ${TMPDIR:-/tmp}/teamnet-ckpt-*
-#       directory behind.
+#       directory or a live process carrying its command line behind.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -89,7 +90,8 @@ export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 # runs only its follow-up.  A follow-up under benchmarks/ is one pytest
 # file run with its output shown (extra arguments are pytest's, so it
 # gets them too); examples/ runs each script in it; anything else is a
-# command run as written.
+# command run as written, and a "python -m MODULE" one must leave no
+# process whose command line carries "-m MODULE".
 declare -A MODES=(
     [--testkit]="testkit sweep|TESTKIT|0 1 2|.testkit-repro||tests/testkit||"
     [--chaos]="chaos soak|CHAOS|0 1 2 3|.chaos-repro|60|tests/testkit/test_chaos.py||"
@@ -106,6 +108,21 @@ declare -A MODES=(
 # sorted for comm(1); an example must remove its own before it exits.
 checkpoint_dirs() {
     compgen -G "${TMPDIR:-/tmp}/teamnet-ckpt-*" | sort || true
+}
+
+# Fail if a process whose command line contains $1 is still alive.  A
+# local team's workers are forked children that carry their parent's
+# command line and leave within milliseconds of it (they watch a pipe
+# to it), so allow them two seconds.
+no_survivors() {
+    local left
+    for _ in {1..20}; do
+        left=$(pgrep -f -- "$1") || return 0
+        sleep 0.1
+    done
+    echo "still running after exit (command line has '$1'):" >&2
+    ps -o pid=,args= -p "${left//$'\n'/,}" >&2 || true
+    exit 1
 }
 
 run_mode() {
@@ -147,6 +164,7 @@ run_mode() {
                 echo "--- $example ---"
                 before=$(checkpoint_dirs)
                 timeout --signal=INT "$SUITE_TIMEOUT" python "$example"
+                no_survivors "$example"
                 leaked=$(comm -13 <(echo "$before") <(checkpoint_dirs))
                 if [[ -n "$leaked" ]]; then
                     echo "$example left behind: $leaked" >&2
@@ -156,6 +174,9 @@ run_mode() {
         else
             # shellcheck disable=SC2086  # a command line, word-split
             timeout --signal=INT "$SUITE_TIMEOUT" $then_cmd
+            if [[ "$then_cmd" =~ (-m [^ ]+) ]]; then
+                no_survivors "${BASH_REMATCH[1]}"
+            fi
         fi
     fi
 }

@@ -155,6 +155,9 @@ class Listener:
     def address(self) -> tuple[str, int]:
         return (self.host, self.port)
 
+    def fileno(self) -> int:
+        return self._sock.fileno()
+
     def accept(self, timeout: float | None = None) -> MeteredSocket:
         self._sock.settimeout(timeout)
         conn, _ = self._sock.accept()

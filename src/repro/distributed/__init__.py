@@ -10,6 +10,7 @@ the edge simulator can replay it against device/WiFi profiles.
 from .failover import (FailoverServer, FailoverStats, LeaseView,
                        MasterFailover, StandbyMaster, TransportRing,
                        WorkerView, REDRIVE_ERRORS)
+from .forked import ForkedWorker
 from .integrity import (CanaryProber, CanarySet, IntegrityConfig,
                         IntegrityViolation, QuarantineManager,
                         QuarantineRecord, ReplyValidator, make_canary_set,
@@ -34,7 +35,8 @@ from .teamnet_runtime import (ExpertWorker, InferenceStats, LeadershipLost,
                               deploy_local_team)
 
 __all__ = [
-    "TeamNetMaster", "ExpertWorker", "deploy_local_team", "InferenceStats",
+    "TeamNetMaster", "ExpertWorker", "ForkedWorker", "deploy_local_team",
+    "InferenceStats",
     "WorkerFailure", "WorkerHealth", "LeadershipLost",
     "TeamNetServer", "ServeFuture", "ServerStats", "ServerClosed",
     "ServerOverloaded", "RequestAbandoned",

@@ -9,8 +9,9 @@ adds that layer without touching the protocol:
   :class:`ServerOverloaded` (open-loop load must shed, not silently grow
   an unbounded backlog).
 * **Micro-batch coalescing** — the dispatcher drains whatever compatible
-  requests are queued (same dtype and feature shape, up to
-  ``max_batch``) into one broadcast.  The nn engine is batched: a
+  requests are queued (same feature shape, up to ``max_batch``) into
+  one broadcast.  The batch is cast to the team dtype once, as a whole,
+  so callers' dtypes never split a batch.  The nn engine is batched: a
   64-request batch costs barely more than one, so one wire exchange per
   worker now serves the whole batch.
 * **Pipelining** — broadcasts don't wait for earlier gathers.  The
@@ -513,11 +514,10 @@ class TeamNetServer:
                     pop = (self._queue.pop if lifo
                            else self._queue.popleft)
                     batch = [pop()]
-                    key = (batch[0].x.dtype, batch[0].x.shape[1:])
+                    key = batch[0].x.shape[1:]
                     peek = -1 if lifo else 0
                     while (self._queue and len(batch) < self.max_batch
-                           and (self._queue[peek].x.dtype,
-                                self._queue[peek].x.shape[1:]) == key):
+                           and self._queue[peek].x.shape[1:] == key):
                         batch.append(pop())
                 elif self._closed and not expired:
                     return None

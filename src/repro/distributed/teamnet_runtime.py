@@ -34,15 +34,18 @@ resilience control plane (:mod:`repro.distributed.resilience`):
   refused with :class:`~repro.distributed.resilience.QuorumError`,
   never silently returned.
 
-``deploy_local_team`` spins a worker thread per expert on localhost so the
-whole protocol runs for real in tests and examples.
+``deploy_local_team`` serves each worker expert on localhost so the whole
+protocol runs for real in tests and examples: one forked process per
+expert over real TCP, one thread per expert over any given transport.
 """
 
 from __future__ import annotations
 
+import os
 import threading
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -59,6 +62,7 @@ from ..core.inference import (ExpertOutput, argmin_select, expert_dtype,
                               team_dtype, validate_engine)
 from ..nn import (CorruptModelError, Module, blas, model_from_bytes,
                   weights_fingerprint)
+from .forked import ForkedWorker
 from .integrity import (CanaryProber, CanarySet, IntegrityConfig,
                         IntegrityViolation, QuarantineManager, ReplyValidator,
                         structural_reason)
@@ -1593,12 +1597,18 @@ def deploy_local_team(experts: list[Module], degrade_on_failure: bool = False,
                       integrity: IntegrityConfig | None = None,
                       canaries: CanarySet | None = None,
                       store=None
-                      ) -> tuple[TeamNetMaster, list[ExpertWorker]]:
+                      ) -> tuple[TeamNetMaster,
+                                 list[ExpertWorker | ForkedWorker]]:
     """Deploy expert 0 as master and the rest as localhost workers.
 
-    ``transport`` selects the fabric (real TCP by default; the testkit
-    passes a :class:`repro.testkit.SimTransport` to run the identical
-    protocol in-process).  ``resilience``/``degradation`` configure the
+    ``transport`` selects the fabric.  By default it is real TCP, and
+    each worker expert runs in its own forked process
+    (:class:`~repro.distributed.forked.ForkedWorker`), so the experts
+    compute in parallel instead of taking turns on one interpreter.  A
+    given transport (the testkit's
+    :class:`repro.testkit.SimTransport`, a tracing wrapper, or a plain
+    ``TcpTransport()``) keeps every worker an :class:`ExpertWorker`
+    thread of this process.  ``resilience``/``degradation`` configure the
     control plane (breakers, hedging, quorum); see
     :mod:`repro.distributed.resilience`.  ``integrity`` arms the
     data-plane defenses (:mod:`repro.distributed.integrity`); the
@@ -1613,11 +1623,18 @@ def deploy_local_team(experts: list[Module], degrade_on_failure: bool = False,
     if len(experts) < 2:
         raise ValueError("a team needs >= 2 experts")
     team_dtype(experts)
+    validate_engine(engine)
+    forked = transport is None and hasattr(os, "fork")
     workers = []
     try:
         for expert in experts[1:]:
-            worker = ExpertWorker(expert, host=host, transport=transport,
-                                  engine=engine)
+            if forked:
+                worker = ForkedWorker(partial(ExpertWorker, expert,
+                                              host=host, engine=engine),
+                                      host)
+            else:
+                worker = ExpertWorker(expert, host=host,
+                                      transport=transport, engine=engine)
             workers.append(worker)
             worker.start()
         master = TeamNetMaster(experts[0], [w.address for w in workers],

@@ -80,7 +80,7 @@ class TestByteIdenticalToSequential:
         for (preds, _, _), (ref_preds, _, _) in zip(results, reference):
             assert preds.tobytes() == ref_preds.tobytes()
 
-    def test_mixed_shapes_split_into_separate_batches(self):
+    def test_mixed_dtypes_share_one_batch(self):
         rng = strategies.rng_from(11, 0)
         experts, x = strategies.expert_team(rng)
         narrow = x.astype(np.float64)
@@ -95,8 +95,8 @@ class TestByteIdenticalToSequential:
                 stats = server.stats()
             finally:
                 server.close()
-        # Incompatible dtypes cannot share a concatenated broadcast.
-        assert stats.batches == 2
+        # Both were cast to the team dtype at submit: one broadcast.
+        assert stats.batches == 1
         for (preds, _, _), (ref_preds, _, _) in zip(got, ref):
             assert preds.tobytes() == ref_preds.tobytes()
 

@@ -22,7 +22,8 @@ PUBLIC_MODULES = [
     "repro.cascade",
     "repro.comm",
     "repro.distributed", "repro.distributed.election",
-    "repro.distributed.failover", "repro.distributed.integrity",
+    "repro.distributed.failover", "repro.distributed.forked",
+    "repro.distributed.integrity",
     "repro.edge", "repro.edge.loadsim",
     "repro.experiments", "repro.experiments.plots",
     "repro.store", "repro.store.artifact", "repro.store.checkpoint",
