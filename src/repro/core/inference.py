@@ -9,7 +9,6 @@ can be detrimental"), and our ablation bench quantifies that.
 
 from __future__ import annotations
 
-import os
 import threading
 import weakref
 from dataclasses import dataclass
@@ -48,11 +47,6 @@ _DTYPES: "weakref.WeakKeyDictionary[Module, np.dtype]" = \
 _COMPILED: "weakref.WeakKeyDictionary[Module, dict]" = \
     weakref.WeakKeyDictionary()
 _COMPILED_LOCK = threading.Lock()
-# Taken across a fork, so a forked worker never inherits it held.
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(before=_COMPILED_LOCK.acquire,
-                        after_in_parent=_COMPILED_LOCK.release,
-                        after_in_child=_COMPILED_LOCK.release)
 
 
 def expert_dtype(expert: Module) -> np.dtype:

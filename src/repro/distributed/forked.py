@@ -24,6 +24,9 @@ What the child may hold, and how it ends:
   earlier child's, so that child still sees its parent die.
 * The child leaves through ``os._exit``: never the parent's atexit
   handlers, never the parent's unflushed stdio buffers.
+* The module locks a worker takes are held across the fork, so the
+  child, which has only the forking thread, never inherits one held by
+  a thread it does not have.
 """
 
 from __future__ import annotations
@@ -33,9 +36,14 @@ import signal
 import traceback
 
 from ..comm.transport import Listener, TcpTransport
-from ..nn import blas
+from ..core import inference
+from ..nn import Module, blas, executor
 
 __all__ = ["ForkedWorker"]
+
+# Every lock a worker in the child may take: the BLAS cap's, the compile
+# cache's and the tracer's.
+_FORK_LOCKS = (blas._lock, inference._COMPILED_LOCK, executor._TRACE_GUARD)
 
 
 class _Bound(TcpTransport):
@@ -71,26 +79,38 @@ def _detach(keep: set[int]) -> None:
     os.close(null)
 
 
-def _serve(make_worker, listener: Listener, lifeline: int) -> None:
+def _fork() -> int:
+    """``os.fork`` with every lock in ``_FORK_LOCKS`` held across it."""
+    for lock in _FORK_LOCKS:
+        lock.acquire()
+    try:
+        return os.fork()
+    finally:
+        for lock in _FORK_LOCKS:
+            lock.release()      # in the parent and in the child
+
+
+def _serve(expert: Module, host: str, engine: str, listener: Listener,
+           lifeline: int) -> None:
     """The child's whole life: serve until the lifeline breaks."""
+    from .teamnet_runtime import ExpertWorker   # which imports this module
     # Ctrl-C reaches the whole process group; the parent decides.
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     _detach({2, listener.fileno(), lifeline})
-    make_worker(transport=_Bound(listener)).start()
+    ExpertWorker(expert, host=host, engine=engine,
+                 transport=_Bound(listener)).start()
     while os.read(lifeline, 1):
         pass
 
 
 class ForkedWorker:
-    """A worker endpoint served from a forked child process.
+    """An :class:`~repro.distributed.ExpertWorker` for ``expert`` served
+    from a forked child process.
 
-    ``make_worker(transport=...)`` builds the endpoint in the child (for
-    a team: an ``ExpertWorker`` over the inherited expert); it must
-    listen through ``transport`` and serve from ``start()``.  The handle
-    keeps the thread worker's surface: ``address``, and
+    The handle keeps the thread worker's surface: ``address``, and
     ``start()``/``stop()``, both idempotent.  ``stop()`` kills and reaps
-    the child; ``start()`` forks a fresh one on the same port from the
-    objects ``make_worker`` closes over, so a restart serves those, not
+    the child; ``start()`` forks a fresh one on the same port from
+    ``expert`` as this process holds it, so a restart serves that, not
     what a ``DEPLOY`` pushed to the old child, as a rebooted node would.
     The child's counters (``forwards``, ``shed_expired``) stay in the
     child.
@@ -101,9 +121,11 @@ class ForkedWorker:
     ``ExpertWorker`` holds the cap in the child.
     """
 
-    def __init__(self, make_worker, host: str = "127.0.0.1"):
-        self._make_worker = make_worker
+    def __init__(self, expert: Module, host: str = "127.0.0.1",
+                 engine: str = "tape"):
+        self._expert = expert
         self._host = host
+        self._engine = engine
         self._port = 0
         self._pid: int | None = None
         self._lifeline: int | None = None
@@ -127,7 +149,7 @@ class ForkedWorker:
         # already found and already at one thread.
         blas.acquire()
         try:
-            pid = os.fork()
+            pid = _fork()
         except OSError:
             blas.release()
             for fd in (lifeline, keep_alive):
@@ -137,7 +159,8 @@ class ForkedWorker:
         if pid == 0:
             status = 1
             try:
-                _serve(self._make_worker, listener, lifeline)
+                _serve(self._expert, self._host, self._engine, listener,
+                       lifeline)
                 status = 0
             except BaseException:  # noqa: BLE001 - report, then leave
                 traceback.print_exc()

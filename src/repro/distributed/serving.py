@@ -11,9 +11,9 @@ adds that layer without touching the protocol:
 * **Micro-batch coalescing** — the dispatcher drains whatever compatible
   requests are queued (same feature shape, up to ``max_batch``) into
   one broadcast.  The batch is cast to the team dtype once, as a whole,
-  so callers' dtypes never split a batch.  The nn engine is batched: a
-  64-request batch costs barely more than one, so one wire exchange per
-  worker now serves the whole batch.
+  so callers' float dtypes never split a batch.  The nn engine is
+  batched: a 64-request batch costs barely more than one, so one wire
+  exchange per worker now serves the whole batch.
 * **Pipelining** — broadcasts don't wait for earlier gathers.  The
   dispatcher keeps up to ``max_inflight`` batches on the wire (per-seq
   reply slots on each connection, via :class:`repro.comm.ReplyDemux`)
@@ -214,6 +214,14 @@ class _Request:
         self.future = ServeFuture(request_id, deadline_at=deadline_at)
 
 
+def _batch_key(x: np.ndarray) -> tuple:
+    """What requests must share to ride one broadcast.  Any float is
+    exact in the widest float, so a batch of mixed floats, cast once,
+    rounds each row as casting it alone would; other dtypes (an int64
+    may not be exact in float64) keep batches of their own."""
+    return x.shape[1:], ("f" if x.dtype.kind == "f" else x.dtype)
+
+
 @dataclass
 class ServerStats:
     """Cumulative serving counters (a snapshot; see
@@ -385,6 +393,9 @@ class TeamNetServer:
         if x.ndim != 2:
             raise ValueError(f"expected a 2-D input batch, got shape "
                              f"{x.shape}")
+        if x.dtype.kind not in "biuf":
+            raise TypeError(f"cannot serve {x.dtype} input: expected "
+                            "bool, integer or float")
         now = self._clock()
         deadline_at = (None if deadline_s is None
                        else now + float(deadline_s))
@@ -514,10 +525,10 @@ class TeamNetServer:
                     pop = (self._queue.pop if lifo
                            else self._queue.popleft)
                     batch = [pop()]
-                    key = batch[0].x.shape[1:]
+                    key = _batch_key(batch[0].x)
                     peek = -1 if lifo else 0
                     while (self._queue and len(batch) < self.max_batch
-                           and self._queue[peek].x.shape[1:] == key):
+                           and _batch_key(self._queue[peek].x) == key):
                         batch.append(pop())
                 elif self._closed and not expired:
                     return None
@@ -543,8 +554,6 @@ class TeamNetServer:
                 self._inflight.put(_DONE)
                 return
             segments = [len(request.x) for request in batch]
-            batch_x = (batch[0].x if len(batch) == 1
-                       else np.concatenate([r.x for r in batch], axis=0))
             # Remaining deadline budgets at send time, one per request
             # (None = no deadline).  A single-request batch rides the
             # whole-request budget; a coalesced one carries per-segment
@@ -563,6 +572,8 @@ class TeamNetServer:
                 # whole forward only when *every* request is dead.
                 whole_budget = max(budgets)
             try:
+                batch_x = (batch[0].x if len(batch) == 1
+                           else np.concatenate([r.x for r in batch], axis=0))
                 if self.coalesce == "exact":
                     pending = self.master._begin(
                         batch_x, segments=segments,

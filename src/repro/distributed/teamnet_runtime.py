@@ -45,7 +45,6 @@ import os
 import threading
 import time
 from dataclasses import dataclass, field
-from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -1629,9 +1628,7 @@ def deploy_local_team(experts: list[Module], degrade_on_failure: bool = False,
     try:
         for expert in experts[1:]:
             if forked:
-                worker = ForkedWorker(partial(ExpertWorker, expert,
-                                              host=host, engine=engine),
-                                      host)
+                worker = ForkedWorker(expert, host=host, engine=engine)
             else:
                 worker = ExpertWorker(expert, host=host,
                                       transport=transport, engine=engine)

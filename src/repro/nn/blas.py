@@ -35,11 +35,6 @@ _SYMBOLS = (
 )
 
 _lock = threading.Lock()
-# Taken across a fork, so no child inherits it held by a thread the
-# child does not have (a forked team worker acquires it on start).
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(before=_lock.acquire, after_in_parent=_lock.release,
-                        after_in_child=_lock.release)
 _api = None          # (set, get) ctypes functions, or False if not found
 _holders = 0
 _saved: int | None = None

@@ -33,7 +33,6 @@ within a small tolerance.
 
 from __future__ import annotations
 
-import os
 import threading
 import time
 from collections import defaultdict
@@ -53,12 +52,6 @@ _CONST = 1
 # Other threads running tape forwards concurrently are routed through the
 # original apply by a thread-identity check inside the recorder.
 _TRACE_GUARD = threading.Lock()
-# A fork waits out a trace in flight: the child would inherit the guard
-# held and ``Function.apply`` patched by a thread it does not have.
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(before=_TRACE_GUARD.acquire,
-                        after_in_parent=_TRACE_GUARD.release,
-                        after_in_child=_TRACE_GUARD.release)
 
 
 class TraceError(RuntimeError):

@@ -15,7 +15,6 @@ import subprocess
 import sys
 import textwrap
 import time
-from functools import partial
 
 import numpy as np
 import pytest
@@ -150,7 +149,7 @@ class TestLifecycle:
         x = rng.standard_normal((3, 16)).astype(np.float32)
         want = expert_forward(expert, x).probs.tobytes()
         holds = blas._holders
-        worker = ForkedWorker(partial(ExpertWorker, expert))
+        worker = ForkedWorker(expert)
         worker.start()
         worker.start()                  # a second start forks nothing
         address, pids = worker.address, [worker.pid]
