@@ -372,8 +372,7 @@ class StandbyMaster:
                 leader=reply.meta.get("leader"),
                 epoch=int(reply.meta.get("epoch") or 0),
                 lease_age_s=reply.meta.get("lease_age_s"))
-        except (ConnectionError, OSError, TimeoutError,
-                protocol.ProtocolError):
+        except (ConnectionError, OSError, TimeoutError):
             return WorkerView(index=index, reachable=False)
         finally:
             try:
