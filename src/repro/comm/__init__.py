@@ -8,7 +8,7 @@ real traffic against a WiFi model.
 
 from . import protocol
 from .base import Transport
-from .demux import ChannelDead, ReplyDemux, ReplySlot
+from .demux import ChannelDead, DemuxGroup, ReplyDemux, ReplySlot
 from .mpi import Communicator, LocalGroup, run_group
 from .protocol import Message, ProtocolError, decode, encode
 from .rpc import RemoteError, RpcClient, RpcServer
@@ -21,5 +21,5 @@ __all__ = [
     "Communicator", "LocalGroup", "run_group", "RpcServer", "RpcClient",
     "RemoteError", "Listener", "MeteredSocket", "TransportStats", "connect",
     "send_frame", "recv_frame", "FrameError", "Transport", "TcpTransport",
-    "ReplyDemux", "ReplySlot", "ChannelDead", "FrameServer",
+    "ReplyDemux", "ReplySlot", "DemuxGroup", "ChannelDead", "FrameServer",
 ]
