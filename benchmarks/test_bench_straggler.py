@@ -13,7 +13,7 @@ import time
 import numpy as np
 
 from repro.core import TeamInference
-from repro.distributed import deploy_local_team
+from repro.distributed import DegradationPolicy, deploy_local_team
 from repro.edge import (JETSON_TX2_CPU, WIFI, gather_stall_time,
                         profile_model, teamnet_metrics,
                         teamnet_straggler_metrics)
@@ -63,8 +63,9 @@ def test_bench_straggler_tolerance(benchmark):
                for i in range(team_size)]
     wire = [experts[0], experts[1],
             _SlowExpert(experts[2], 3 * deadline_s), experts[3]]
-    master, workers = deploy_local_team(wire, degrade_on_failure=True,
-                                        reply_timeout=deadline_s)
+    master, workers = deploy_local_team(
+        wire, degradation=DegradationPolicy(min_quorum=1),
+        reply_timeout=deadline_s)
     try:
         x = rng.standard_normal((8, 16)).astype(np.float32)
 

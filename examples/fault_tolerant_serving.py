@@ -5,7 +5,8 @@ Five extensions beyond the paper, built on its runtime:
 
 1. **Graceful degradation** — kill a worker mid-stream and watch the
    master drop it from the team and keep answering from the survivors
-   (at reduced accuracy: each expert only knows its partition).  The
+   (at reduced accuracy: each expert only knows its partition), as its
+   ``DegradationPolicy(min_quorum=1)`` allows.  The
    gather is concurrent with a single per-inference deadline
    (``reply_timeout``), so even a dead or straggling worker costs at
    most one deadline per inference — never one timeout per peer.
@@ -38,15 +39,20 @@ import numpy as np
 
 from repro.core import TeamNet, TrainerConfig
 from repro.data import synthetic_mnist, train_test_split
-from repro.distributed import (FailoverServer, LeaseConfig, MasterFailover,
-                               ResilienceConfig, StandbyMaster,
-                               deploy_local_team)
+from repro.distributed import (DegradationPolicy, FailoverServer,
+                               LeaseConfig, MasterFailover, ResilienceConfig,
+                               StandbyMaster, deploy_local_team)
 from repro.distributed.teamnet_runtime import ExpertWorker, TeamNetMaster
 from repro.edge import (RASPBERRY_PI_3B, WIFI, baseline_metrics,
                         capacity_sweep, profile_model, sustainable_rate,
                         teamnet_metrics)
 from repro.nn import build_model, downsize, mlp_spec
 from repro.store import CheckpointStore
+
+#: The failure policy: answer from whichever experts are up (a quorum
+#: floor of 1, the master itself).  ``DegradationPolicy()`` would need
+#: the whole team and raise ``WorkerFailure`` instead.
+DEGRADE = DegradationPolicy(min_quorum=1)
 
 
 def run(checkpoint_dir: str) -> None:
@@ -66,10 +72,9 @@ def run(checkpoint_dir: str) -> None:
     print(f"      durable checkpoint: generation "
           f"{store.latest_valid()} in {checkpoint_dir}/")
 
-    print("\n[2/6] serving with degradation enabled, then killing a "
-          "worker ...")
+    print("\n[2/6] serving at quorum floor 1, then killing a worker ...")
     master, workers = deploy_local_team(
-        team.experts, degrade_on_failure=True, reply_timeout=2.0,
+        team.experts, degradation=DEGRADE, reply_timeout=2.0,
         resilience=ResilienceConfig(failure_threshold=2, reset_timeout=0.1,
                                     reset_timeout_max=1.0))
     master.store = store  # arm redeploy with the checkpointed experts
@@ -143,7 +148,7 @@ def run(checkpoint_dir: str) -> None:
         team_workers.append(worker)
     primary = TeamNetMaster(
         team.experts[0], [w.address for w in team_workers],
-        epoch=1, leader_id="primary", degrade_on_failure=True,
+        epoch=1, leader_id="primary", degradation=DEGRADE,
         reply_timeout=2.0, store=store)
     # A *hot* standby this time: it mirrors the master expert and the
     # worker roster so it can take over the live team, not just one slot.
@@ -170,7 +175,7 @@ def run(checkpoint_dir: str) -> None:
         view = hot_spare.poll()
         print(f"      standby observes leader_lost={view.leader_lost} "
               f"({len(view.reachable)} workers report stale leases)")
-        promoted = hot_spare.promote(degrade_on_failure=True,
+        promoted = hot_spare.promote(degradation=DEGRADE,
                                      reply_timeout=2.0)
         redriven = front.failover_to(promoted.serve(max_batch=8))
         answers = [future.result(timeout=10.0) for future in parked]

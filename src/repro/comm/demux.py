@@ -330,11 +330,10 @@ class ReplyDemux:
         try:
             try:
                 payload = self._endpoint.recv(timeout=timeout)
-            except (TimeoutError, BlockingIOError):
+            except TimeoutError:
                 # The tightest deadline is unmeetable: elapsed for real,
                 # decided virtually by the sim fabric, or nothing queued
-                # for a zero-wait read (an empty non-blocking socket
-                # raises BlockingIOError).
+                # for a zero-wait read.
                 error = nearest._timed_out()
             except (ConnectionError, OSError) as exc:
                 error = ChannelDead(f"connection lost: {exc}")

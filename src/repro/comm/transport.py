@@ -109,13 +109,16 @@ class MeteredSocket:
     def recv(self, timeout: float | None = None) -> bytes:
         """Read one frame; with ``timeout`` set, raises TimeoutError if no
         complete frame arrives in time (the connection should then be
-        considered dead — a partial frame may have been consumed)."""
+        considered dead — a partial frame may have been consumed).  A
+        zero wait takes only a frame already queued."""
         if timeout is None:
             return recv_frame(self.sock, self.stats)
         previous = self.sock.gettimeout()
         self.sock.settimeout(timeout)
         try:
             return recv_frame(self.sock, self.stats)
+        except BlockingIOError as exc:  # a zero wait is non-blocking
+            raise TimeoutError("no complete frame queued") from exc
         finally:
             try:
                 self.sock.settimeout(previous)

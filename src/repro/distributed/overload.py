@@ -50,7 +50,7 @@ from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 __all__ = ["OverloadConfig", "AdmissionController", "RetryBudget",
            "BrownoutController", "DeadlineExpired", "remaining_budget",
@@ -328,9 +328,9 @@ class BrownoutController:
     exact same steps in reverse, so the system never jumps from
     "healthy" to "minimum quorum" (or back) on one noisy sample.
 
-    The controller only decides *levels*; applying them (turning
-    hedging off, dropping the quorum floor, zeroing the batch linger)
-    is the serving layer's job, which keeps this a pure state machine.
+    The controller also says what each rung allows
+    (:meth:`allowance`, :meth:`linger_s`); the serving layer hands that
+    to each batch it dispatches, so the master holds no brownout state.
     """
 
     def __init__(self, config: OverloadConfig | None = None,
@@ -354,6 +354,21 @@ class BrownoutController:
     @property
     def level_name(self) -> str:
         return BROWNOUT_LEVELS[self.level]
+
+    def allowance(self, policy):
+        """What a batch dispatched now may do: ``(hedge, policy)``.
+
+        Rung 1 turns hedging off (a hedge turns slowness into failures
+        and reconnects); rung 2 lowers the ``DegradationPolicy``'s
+        integer quorum floor to 1.  A whole-team policy stays whole."""
+        level = self.level
+        if level >= 2 and policy.min_quorum is not None:
+            policy = replace(policy, min_quorum=1)
+        return level < 1, policy
+
+    def linger_s(self, configured: float) -> float:
+        """Rung 3 turns batch linger off: lingering only ages deadlines."""
+        return 0.0 if self.level >= 3 else configured
 
     def observe(self, pressure: float) -> tuple[int, int] | None:
         """Feed one pressure sample; returns ``(from, to)`` when this

@@ -19,9 +19,10 @@ silent one:
 * :class:`LatencyTracker` — sliding window of team reply latencies; its
   quantiles derive the *hedge delay* after which the master stops
   waiting on a suspected-slow peer and proceeds with the quorum it has.
-* :class:`DegradationPolicy` — how degraded an answer may get before it
-  is flagged (or refused): a minimum quorum of participating experts and
-  an optional ceiling on the winning entropy.  Each expert only knows
+* :class:`DegradationPolicy` — whether a short-handed team answers and
+  how degraded an answer may get before it is flagged (or refused): a
+  quorum of participating experts (the whole team by default) and an
+  optional ceiling on the winning entropy.  Each expert only knows
   part of the data, so the caller must be able to see degradation.
 * :class:`LeaderLease` / :class:`LeaseConfig` — the lease-based
   leadership record behind master failover: workers (and standby
@@ -147,10 +148,13 @@ class ResilienceConfig:
 
 @dataclass(frozen=True)
 class DegradationPolicy:
-    """How degraded an answer may get before it stops being silent.
+    """When a short-handed team may still answer, and how degraded that
+    answer may get before it stops being silent.
 
-    * ``min_quorum`` — minimum number of participating experts
-      (master included) required for an answer.
+    * ``min_quorum`` — minimum number of participating experts (master
+      included) required for an answer.  ``None`` (the default) is the
+      whole team: any missing peer raises ``WorkerFailure`` and nobody
+      is hedged.  An integer lets the master answer from whoever replied.
     * ``max_entropy`` — per-sample ceiling on the *winning* predictive
       entropy; an answer whose least-uncertain expert is still this
       uncertain is no answer at all.  ``None`` disables the check.
@@ -159,14 +163,14 @@ class DegradationPolicy:
       ``"raise"`` refuses it with :class:`QuorumError`.
     """
 
-    min_quorum: int = 1
+    min_quorum: int | None = None
     max_entropy: float | None = None
     on_violation: str = "flag"
 
     def __post_init__(self):
-        if self.min_quorum < 1:
+        if self.min_quorum is not None and self.min_quorum < 1:
             raise ValueError("min_quorum must be >= 1 (the master always "
-                             "participates)")
+                             "participates) or None (the whole team)")
         if self.max_entropy is not None and self.max_entropy < 0:
             raise ValueError("max_entropy must be >= 0 or None")
         if self.on_violation not in ("flag", "raise"):
@@ -174,18 +178,16 @@ class DegradationPolicy:
                              f"got {self.on_violation!r}")
 
     def violations(self, participants: int,
-                   max_winner_entropy: float | None,
-                   min_quorum: int | None = None) -> list[str]:
+                   max_winner_entropy: float | None) -> list[str]:
         """Human-readable policy breaches for one inference (empty =
-        the answer is acceptable).  ``min_quorum`` overrides the
-        configured floor for this call — the brownout ladder's
-        "quorum-min" rung lowers it under sustained overload without
-        mutating this frozen policy."""
+        the answer is acceptable).  A whole-team policy has no quorum to
+        breach here: a missing peer already failed the inference, and a
+        peer that shed the request for deadline is load shedding, not a
+        missing answer."""
         found = []
-        floor = self.min_quorum if min_quorum is None else min_quorum
-        if participants < floor:
+        if self.min_quorum is not None and participants < self.min_quorum:
             found.append(f"quorum: {participants} participant(s) < "
-                         f"min_quorum {floor}")
+                         f"min_quorum {self.min_quorum}")
         if (self.max_entropy is not None and max_winner_entropy is not None
                 and max_winner_entropy > self.max_entropy):
             found.append(f"entropy: winning entropy {max_winner_entropy:.4f} "

@@ -47,7 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..core.inference import expert_forward, expert_forward_segments
+from ..core.inference import expert_forward_segments
 from .overload import (AdmissionController, BrownoutController,
                        DeadlineExpired, OverloadConfig)
 from .teamnet_runtime import InferenceStats, TeamNetMaster
@@ -479,14 +479,6 @@ class TeamNetServer:
             return len(self._queue)
 
     # ---------------------------------------------------------- dispatcher
-    def _effective_linger_s(self) -> float:
-        """Brownout rung 3 turns batch linger off: under overload the
-        queue is never short of company, and lingering only ages
-        deadlines."""
-        if self._brownout is not None and self._brownout.level >= 3:
-            return 0.0
-        return self.linger_s
-
     def _next_batch(self) -> list[_Request] | None:
         """Pop one coalescible run of requests; None when closed+drained.
 
@@ -505,7 +497,8 @@ class TeamNetServer:
                     if self._closed:
                         break
                     self._cond.wait()
-                linger = self._effective_linger_s()
+                linger = (self.linger_s if self._brownout is None
+                          else self._brownout.linger_s(self.linger_s))
                 if self._queue and linger > 0 \
                         and len(self._queue) < self.max_batch \
                         and not self._closed:
@@ -554,7 +547,9 @@ class TeamNetServer:
             if batch is None:
                 self._inflight.put(_DONE)
                 return
-            segments = [len(request.x) for request in batch]
+            # Fused batches have no per-segment wire format: one forward.
+            segments = ([len(request.x) for request in batch]
+                        if self.coalesce == "exact" else None)
             # Remaining deadline budgets at send time, one per request
             # (None = no deadline).  A single-request batch rides the
             # whole-request budget; a coalesced one carries per-segment
@@ -572,22 +567,22 @@ class TeamNetServer:
                 # Fused batches have no per-segment wire format; shed the
                 # whole forward only when *every* request is dead.
                 whole_budget = max(budgets)
+            # The rung in force now decides this batch's hedging and
+            # quorum floor, however the ladder moves before it is done.
+            hedge, degradation = (
+                (True, None) if self._brownout is None
+                else self._brownout.allowance(self.master.degradation))
             try:
                 batch_x = (batch[0].x if len(batch) == 1
                            else np.concatenate([r.x for r in batch], axis=0))
-                if self.coalesce == "exact":
-                    pending = self.master._begin(
-                        batch_x, segments=segments,
-                        deadline_budget_s=whole_budget,
-                        segment_budgets_s=segment_budgets)
-                    local = expert_forward_segments(self.master.expert,
-                                                    pending.x, segments,
-                                                    engine=self.master.engine)
-                else:
-                    pending = self.master._begin(
-                        batch_x, deadline_budget_s=whole_budget)
-                    local = expert_forward(self.master.expert, pending.x,
-                                           engine=self.master.engine)
+                pending = self.master._begin(
+                    batch_x, segments=segments,
+                    deadline_budget_s=whole_budget,
+                    segment_budgets_s=segment_budgets,
+                    hedge=hedge, degradation=degradation)
+                local = expert_forward_segments(self.master.expert,
+                                                pending.x, segments,
+                                                engine=self.master.engine)
             except Exception as exc:  # noqa: BLE001 - delivered via futures
                 late = 0
                 for request in batch:
@@ -619,10 +614,6 @@ class TeamNetServer:
         if enqueued:
             self._limiter.on_sample(now - min(enqueued))
         self._brownout.observe(self._limiter.pressure)
-        level = self._brownout.level
-        master = self.master
-        master.hedging_override = False if level >= 1 else None
-        master.min_quorum_override = 1 if level >= 2 else None
 
     def _collect_loop(self) -> None:
         while True:

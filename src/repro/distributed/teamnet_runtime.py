@@ -218,6 +218,8 @@ class _Pending(NamedTuple):
     waits: list[tuple[_Peer, ReplySlot]]
     inference: InferenceStats
     hedged_set: set[int]
+    #: the policy this batch is judged by (fixed at dispatch)
+    degradation: DegradationPolicy
 
 
 class ExpertWorker:
@@ -530,7 +532,7 @@ class ExpertWorker:
 
 
 class WorkerFailure(ConnectionError):
-    """Raised when collaboration fails and degradation is disabled."""
+    """Raised when collaboration fails under a whole-team policy."""
 
 
 class LeadershipLost(RuntimeError):
@@ -547,13 +549,13 @@ class LeadershipLost(RuntimeError):
 class TeamNetMaster:
     """The master node: local expert + connections to all workers.
 
-    ``degrade_on_failure`` enables graceful degradation: if a worker dies
-    or misses the gather deadline, the master drops it from the team and
-    answers from the remaining experts (each expert only knows part of the
-    data, so accuracy degrades — but the system keeps answering).  With
-    degradation disabled, a worker failure raises :class:`WorkerFailure`.
-    How degraded an answer may get before it is flagged or refused is the
-    ``degradation`` policy's call (quorum and entropy ceiling).
+    The ``degradation`` policy alone decides what a short-handed team
+    does.  The default, ``DegradationPolicy()``, needs the whole team: a
+    worker failure raises :class:`WorkerFailure`.  With an integer
+    ``min_quorum`` a dead or late worker is dropped and the master
+    answers from the rest (each expert only knows part of the data, so
+    accuracy degrades — but the system keeps answering), flagging or
+    refusing answers below the quorum or above the entropy ceiling.
 
     ``reply_timeout`` is a single **per-inference** gather deadline: every
     peer's reply slot is armed with it at broadcast time and the workers
@@ -584,7 +586,6 @@ class TeamNetMaster:
 
     def __init__(self, expert: Module,
                  worker_addresses: list[tuple[str, int]],
-                 degrade_on_failure: bool = False,
                  reply_timeout: float | None = None,
                  connect_timeout: float = 0.25,
                  transport: Transport | None = None,
@@ -616,7 +617,6 @@ class TeamNetMaster:
         #: :meth:`announce_roster`); the failover layer registers them.
         self.standbys: list[tuple[str, int]] = []
         self._roster_version = 0
-        self.degrade_on_failure = degrade_on_failure
         self.reply_timeout = reply_timeout
         self.connect_timeout = connect_timeout
         # ``clock`` stamps outgoing deadline meta (``sent_at``); inject
@@ -628,11 +628,6 @@ class TeamNetMaster:
         # reconnect dials, auto-redeploy pushes, hedged gathers, and (via
         # the failover layer) request re-drives.  None = unlimited.
         self.retry_budget = retry_budget
-        #: brownout overrides, set by the serving layer's ladder: force
-        #: hedging off (False) and/or lower the quorum floor (int).  None
-        #: defers to ``resilience.hedging`` / ``degradation.min_quorum``.
-        self.hedging_override: bool | None = None
-        self.min_quorum_override: int | None = None
         self.resilience = resilience if resilience is not None else \
             ResilienceConfig()
         self.degradation = degradation if degradation is not None else \
@@ -736,14 +731,6 @@ class TeamNetMaster:
                 expired_replies=peer.health.expired_replies,
                 expired_segments=peer.health.expired_segments)
         return snapshot
-
-    @property
-    def effective_min_quorum(self) -> int:
-        """The quorum floor in force: the brownout override when the
-        serving layer lowered it, the degradation policy's otherwise."""
-        if self.min_quorum_override is not None:
-            return self.min_quorum_override
-        return self.degradation.min_quorum
 
     # ------------------------------------------------------------ recovery
     def _maybe_reconnect(self) -> None:
@@ -962,7 +949,7 @@ class TeamNetMaster:
         """A worker refused this master's epoch: it is deposed for good.
 
         A stale-epoch refusal outranks every other failure mode, and
-        fires even with degradation enabled: a deposed master must not
+        fires even when the policy may degrade: a deposed master must not
         keep serving "degraded" answers from whatever workers its
         broadcasts still reach before they learn of the new leader."""
         with self._lock:
@@ -972,7 +959,8 @@ class TeamNetMaster:
             f"leadership epoch {fenced_epoch}")
 
     # -------------------------------------------------------------- hedging
-    def _hedge_plan(self, sent: list[_Peer]) -> tuple[float | None, set[int]]:
+    def _hedge_plan(self, sent: list[_Peer], policy: DegradationPolicy
+                    ) -> tuple[float | None, set[int]]:
         """Decide the hedge delay and which of ``sent`` get it.
 
         Hedging arms once the latency window holds enough samples; the
@@ -980,20 +968,12 @@ class TeamNetMaster:
         hedged when the failure detector marks it suspect (misses) or its
         latency EWMA already exceeds the hedge delay (it is *expected* to
         miss it).  Hedging is skipped entirely when cutting the suspects
-        loose could leave the answer below the quorum — better to burn
-        the deadline than to refuse an answer we could have had.  With
-        degradation off the answer needs every peer, so a master that
-        may not degrade never hedges: a fired hedge would fail a merely
-        slow peer and close its connection.
+        loose could leave the answer below ``policy``'s quorum — better
+        to burn the deadline than to refuse an answer we could have had.
+        So a whole-team policy never hedges: a fired hedge would fail a
+        merely slow peer and close its connection.
         """
         cfg = self.resilience
-        if not self.degrade_on_failure:
-            return None, set()
-        if self.hedging_override is False:
-            # Brownout ladder rung 1: hedging off under sustained
-            # pressure — hedge deadlines convert slowness into failures
-            # and reconnects, the opposite of what overload needs.
-            return None, set()
         if not cfg.hedging or len(self._latencies) < cfg.hedge_min_samples:
             return None, set()
         if (self.retry_budget is not None
@@ -1013,7 +993,9 @@ class TeamNetMaster:
                 and peer.health.ewma_reply_latency_s > delay)}
         if not suspects:
             return None, set()
-        if 1 + len(sent) - len(suspects) < self.effective_min_quorum:
+        floor = (self.team_size if policy.min_quorum is None
+                 else policy.min_quorum)
+        if 1 + len(sent) - len(suspects) < floor:
             return None, set()
         return delay, suspects
 
@@ -1042,7 +1024,9 @@ class TeamNetMaster:
     def _begin(self, x: np.ndarray,
                segments: list[int] | None = None,
                deadline_budget_s: float | None = None,
-               segment_budgets_s: list[float | None] | None = None
+               segment_budgets_s: list[float | None] | None = None,
+               hedge: bool = True,
+               degradation: DegradationPolicy | None = None
                ) -> _Pending:
         """Step 2: broadcast ``x`` to every admissible peer.
 
@@ -1052,6 +1036,11 @@ class TeamNetMaster:
         no deadline).  Either stamps ``sent_at`` from the master's clock
         so workers sharing a comparable clock can charge transit time
         and shed expired work before the forward.
+
+        ``degradation`` (the master's own policy by default) decides
+        whether this batch may go short-handed, here and in
+        :meth:`_finish`; ``hedge=False`` arms no hedge deadline.  The
+        serving layer passes what its brownout rung allows at dispatch.
 
         ``x`` is cast to the team dtype here, once; the returned
         :class:`_Pending` carries the cast batch for the local forward.
@@ -1064,20 +1053,18 @@ class TeamNetMaster:
         """
         x = np.asarray(x, dtype=self.dtype)
         inference = InferenceStats()
+        policy = degradation if degradation is not None else self.degradation
+        whole_team = policy.min_quorum is None
         with self._lock:
             self._require_leadership()
             self._maybe_reconnect()
             quarantined = (set(self.quarantine.quarantined())
                            if self.quarantine is not None else set())
-            if not self.degrade_on_failure:
-                down = self.failed_workers
-                if down:
-                    raise WorkerFailure(f"workers {down} are down and "
-                                        "degradation is disabled")
-                if quarantined:
-                    raise WorkerFailure(
-                        f"workers {sorted(quarantined)} are quarantined "
-                        "and degradation is disabled")
+            if whole_team and (self.failed_workers or quarantined):
+                raise WorkerFailure(
+                    f"workers {self.failed_workers} are down and "
+                    f"{sorted(quarantined)} quarantined; the policy needs "
+                    "the whole team")
             seq = self._next_seq()
             meta: dict = {"seq": seq}
             if self.epoch is not None:
@@ -1109,7 +1096,8 @@ class TeamNetMaster:
             targets = [peer for peer in self._peers
                        if peer.alive and peer.breaker.allow()
                        and peer.index not in quarantined]
-            hedge_delay, hedged_set = self._hedge_plan(targets)
+            hedge_delay, hedged_set = (self._hedge_plan(targets, policy)
+                                       if hedge else (None, set()))
             inference.hedge_delay_s = hedge_delay
             waits: list[tuple[_Peer, ReplySlot]] = []
             for peer in targets:
@@ -1120,12 +1108,12 @@ class TeamNetMaster:
                                                    allowance, inference)))
                 except (ConnectionError, OSError) as exc:
                     inference.failures += 1
-                    if not self.degrade_on_failure:
+                    if whole_team:
                         for _, pending_slot in waits:
                             pending_slot.cancel()
                         raise WorkerFailure(
                             f"worker {peer.index} failed: {exc}") from exc
-        return _Pending(x, waits, inference, hedged_set)
+        return _Pending(x, waits, inference, hedged_set, policy)
 
     # -------------------------------------------------------------- gather
     def _finish(self, pending: _Pending, local_output: ExpertOutput
@@ -1267,7 +1255,8 @@ class TeamNetMaster:
         # master must not push archives on its way out.
         for peer, _ in quarantine_actions:
             self._auto_redeploy(peer)
-        if first_error is not None and not self.degrade_on_failure:
+        policy = pending.degradation
+        if first_error is not None and policy.min_quorum is None:
             peer, exc = first_error
             raise WorkerFailure(f"worker {peer.index} failed: {exc}") from exc
         # Step 5: least-uncertainty selection.
@@ -1283,10 +1272,8 @@ class TeamNetMaster:
         winner_entropy = entropies.min(axis=1)
         max_winner_entropy = (float(winner_entropy.max())
                               if winner_entropy.size else None)
-        violations = self.degradation.violations(
-            len(indices), max_winner_entropy,
-            min_quorum=self.min_quorum_override)
-        if violations and self.degradation.on_violation == "raise":
+        violations = policy.violations(len(indices), max_winner_entropy)
+        if violations and policy.on_violation == "raise":
             raise QuorumError("; ".join(violations))
         inference.violations = violations
         return preds, winner, inference
@@ -1594,7 +1581,7 @@ def deployed_versions(experts: list[Module],
             for index, expert in enumerate(experts[1:], start=1)}
 
 
-def deploy_local_team(experts: list[Module], degrade_on_failure: bool = False,
+def deploy_local_team(experts: list[Module],
                       reply_timeout: float | None = None,
                       transport: Transport | None = None, host: str = "127.0.0.1",
                       resilience: ResilienceConfig | None = None,
@@ -1642,7 +1629,6 @@ def deploy_local_team(experts: list[Module], degrade_on_failure: bool = False,
             workers.append(worker)
             worker.start()
         master = TeamNetMaster(experts[0], [w.address for w in workers],
-                               degrade_on_failure=degrade_on_failure,
                                reply_timeout=reply_timeout,
                                transport=transport,
                                resilience=resilience,

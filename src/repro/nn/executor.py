@@ -630,8 +630,13 @@ def _verify(compiled: CompiledExpert, module, example, exact):
             ok = (got.shape == want.shape and got.dtype == want.dtype
                   and got.tobytes() == want.tobytes())
         else:
+            # Folding conv+bn moves every logit by a few ulps of the
+            # largest one, so allow 16 compute-dtype eps of that (worst
+            # seen over 80 float32 Shake-Shake-8 compiles: 3.3).
+            atol = (16 * np.finfo(want.dtype).eps
+                    * float(np.max(np.abs(want), initial=0.0)))
             ok = got.shape == want.shape and np.allclose(
-                got, want, rtol=1e-4, atol=1e-6)
+                got, want, rtol=1e-4, atol=atol)
         if not ok:
             diff = float(np.max(np.abs(np.asarray(got, dtype=np.float64)
                                        - np.asarray(want, dtype=np.float64))))

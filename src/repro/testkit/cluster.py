@@ -18,7 +18,8 @@ import numpy as np
 
 from ..core.inference import team_dtype
 from ..distributed.failover import StandbyMaster
-from ..distributed.resilience import LeaseConfig, ResilienceConfig
+from ..distributed.resilience import (DegradationPolicy, LeaseConfig,
+                                      ResilienceConfig)
 from ..distributed.teamnet_runtime import (ExpertWorker, TeamNetMaster,
                                            deployed_versions)
 from ..nn import Module, weights_fingerprint
@@ -39,15 +40,15 @@ class SimCluster:
     *real* backstop for in-process compute, but scripted latency and
     drops resolve against it virtually — a fully-faulted gather returns
     in microseconds, not after the deadline.  ``degradation`` passes
-    through to the master (quorum policy).  The experts must share one
+    through to the master; its default answers from whichever experts
+    are up, as most fault scripts need.  The experts must share one
     parameter dtype, the team's compute and wire dtype.
     """
 
     def __init__(self, experts: list[Module],
                  schedule: FaultSchedule | None = None, *,
-                 degrade_on_failure: bool = True,
                  reply_timeout: float | None = 1.0,
-                 resilience=None, degradation=None,
+                 resilience=None, degradation=DegradationPolicy(min_quorum=1),
                  host: str = "sim", engine: str = "tape",
                  integrity=None, canaries=None, store=None,
                  retry_budget=None):
@@ -72,7 +73,6 @@ class SimCluster:
                 self.workers.append(worker)
             self.master = TeamNetMaster(
                 self.experts[0], [w.address for w in self.workers],
-                degrade_on_failure=degrade_on_failure,
                 reply_timeout=reply_timeout,
                 transport=self.network.transport,
                 resilience=resilience or ResilienceConfig(reset_timeout=0.0),
@@ -186,7 +186,6 @@ class SimFailoverCluster:
                  n_standbys: int = 1,
                  lease: LeaseConfig | None = None,
                  store=None,
-                 degrade_on_failure: bool = False,
                  reply_timeout: float | None = 1.0,
                  resilience=None, degradation=None,
                  host: str = "sim", engine: str = "tape"):
@@ -204,7 +203,6 @@ class SimFailoverCluster:
         self.standbys: list[StandbyMaster] = []
         self.promoted: TeamNetMaster | None = None
         self._master_kwargs = dict(
-            degrade_on_failure=degrade_on_failure,
             reply_timeout=reply_timeout,
             transport=self.network.transport,
             resilience=resilience or ResilienceConfig(reset_timeout=0.0),

@@ -100,8 +100,7 @@ def run_differential_case(experts: list[Module], x: np.ndarray,
     :class:`DifferentialMismatch` on any byte-level divergence.
     """
     x = np.asarray(x)
-    with SimCluster(experts, schedule, degrade_on_failure=True,
-                    reply_timeout=reply_timeout) as cluster:
+    with SimCluster(experts, schedule, reply_timeout=reply_timeout) as cluster:
         preds, winner, stats = cluster.infer(x)
         participants = cluster.surviving_team
         gathered = {i: cluster.master.last_outputs[i] for i in participants}
@@ -149,8 +148,8 @@ def run_serving_differential_case(experts: list[Module],
     """
     validate_engine(engine)
     requests = [np.asarray(x) for x in requests]
-    with SimCluster(experts, degrade_on_failure=True,
-                    reply_timeout=reply_timeout, engine=engine) as cluster:
+    with SimCluster(experts, reply_timeout=reply_timeout,
+                    engine=engine) as cluster:
         server = TeamNetServer(cluster.master, max_batch=max_batch,
                                coalesce=coalesce)
         futures = [server.submit(x) for x in requests]
@@ -160,8 +159,7 @@ def run_serving_differential_case(experts: list[Module],
             batches = server.stats().batches
         finally:
             server.close()
-    with SimCluster(experts, degrade_on_failure=True,
-                    reply_timeout=reply_timeout) as cluster:
+    with SimCluster(experts, reply_timeout=reply_timeout) as cluster:
         sequential = [cluster.master.infer(x) for x in requests]
     for i, ((got_preds, got_winner, _), (want_preds, want_winner, _)) \
             in enumerate(zip(served, sequential)):

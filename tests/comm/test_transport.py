@@ -1,6 +1,8 @@
 """Tests for the framed TCP transport."""
 
+import select
 import socket
+import struct
 import threading
 
 import numpy as np
@@ -128,6 +130,49 @@ class TestStats:
         assert (stats.messages_received, stats.bytes_received) == (3, 25)
         stats.reset()
         assert stats.messages_sent == 0 and stats.bytes_received == 0
+
+
+def wait_readable(sock, timeout: float = 5.0) -> None:
+    """Block until ``sock`` (a MeteredSocket) has bytes to read."""
+    readable, _, _ = select.select([sock], [], [], timeout)
+    assert readable, "nothing arrived"
+
+
+class TestZeroWaitRecv:
+    """``recv(timeout=0.0)`` takes only a frame already queued; anything
+    less is the TimeoutError the endpoint contract promises, never the
+    non-blocking socket's BlockingIOError."""
+
+    def test_queued_frame_is_taken(self):
+        client, server = socket_pair()
+        try:
+            client.send(b"ready")
+            wait_readable(server)
+            assert server.recv(timeout=0.0) == b"ready"
+        finally:
+            client.close()
+            server.close()
+
+    def test_empty_socket_times_out(self):
+        client, server = socket_pair()
+        try:
+            with pytest.raises(TimeoutError):
+                server.recv(timeout=0.0)
+        finally:
+            client.close()
+            server.close()
+
+    def test_half_sent_frame_times_out(self):
+        client, server = socket_pair()
+        try:
+            # A header promising 10 bytes, followed by only 4 of them.
+            client.sock.sendall(struct.pack(">Q", 10) + b"half")
+            wait_readable(server)
+            with pytest.raises(TimeoutError):
+                server.recv(timeout=0.0)
+        finally:
+            client.close()
+            server.close()
 
 
 class TestListener:

@@ -16,8 +16,8 @@ import pytest
 from repro.comm import protocol
 from repro.comm.demux import ChannelDead
 from repro.core import TeamNetTrainer, TrainerConfig
-from repro.distributed import (CanaryProber, IntegrityConfig,
-                               make_canary_set)
+from repro.distributed import (CanaryProber, DegradationPolicy,
+                               IntegrityConfig, make_canary_set)
 from repro.distributed.failover import (REDRIVE_ERRORS, FailoverServer,
                                         LeaseView, MasterFailover,
                                         StandbyMaster, TransportRing,
@@ -249,7 +249,8 @@ class TestFencing:
             # quarantine and repair it; worker 2 already follows a rival.
             master = TeamNetMaster(
                 experts[0], [w.address for w in workers], epoch=1,
-                leader_id="primary", degrade_on_failure=True,
+                leader_id="primary",
+                degradation=DegradationPolicy(min_quorum=1),
                 reply_timeout=1.0, transport=network.transport, store=store,
                 integrity=IntegrityConfig(),
                 expected_versions={1: "not-the-deployed-version"})

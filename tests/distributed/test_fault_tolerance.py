@@ -4,8 +4,12 @@ import numpy as np
 import pytest
 
 from repro.core import TeamInference
-from repro.distributed import WorkerFailure, deploy_local_team
+from repro.distributed import (DegradationPolicy, WorkerFailure,
+                               deploy_local_team)
 from repro.nn import MLP
+
+#: answer from whichever experts are up
+DEGRADE = DegradationPolicy(min_quorum=1)
 
 
 def make_experts(k=3):
@@ -35,7 +39,7 @@ class TestDegradedMode:
     def test_keeps_answering_after_worker_death(self, rng):
         experts = make_experts(3)
         master, workers = deploy_local_team(experts,
-                                            degrade_on_failure=True,
+                                            degradation=DEGRADE,
                                             reply_timeout=2.0)
         try:
             x = rng.standard_normal((4, 10)).astype(np.float32)
@@ -60,7 +64,7 @@ class TestDegradedMode:
     def test_degraded_answers_match_surviving_subteam(self, rng):
         experts = make_experts(3)
         master, workers = deploy_local_team(experts,
-                                            degrade_on_failure=True,
+                                            degradation=DEGRADE,
                                             reply_timeout=2.0)
         try:
             x = rng.standard_normal((5, 10)).astype(np.float32)
@@ -77,7 +81,7 @@ class TestDegradedMode:
     def test_failed_worker_not_contacted_again(self, rng):
         experts = make_experts(3)
         master, workers = deploy_local_team(experts,
-                                            degrade_on_failure=True,
+                                            degradation=DEGRADE,
                                             reply_timeout=2.0)
         try:
             x = rng.standard_normal((1, 10)).astype(np.float32)

@@ -9,9 +9,9 @@ import numpy as np
 import pytest
 
 from repro.comm import protocol
-from repro.distributed import (CanaryProber, CanarySet, IntegrityConfig,
-                               QuarantineManager, ReplyValidator,
-                               WorkerFailure, make_canary_set,
+from repro.distributed import (CanaryProber, CanarySet, DegradationPolicy,
+                               IntegrityConfig, QuarantineManager,
+                               ReplyValidator, WorkerFailure, make_canary_set,
                                structural_reason)
 from repro.core.entropy import entropy_from_probs
 from repro.nn import MLP, weights_fingerprint
@@ -261,7 +261,7 @@ class TestMalformedReplyGather:
                                 entropy_from_probs(probs))
 
         master, honest = self._cluster_with_impostor(
-            reply, degrade_on_failure=True)
+            reply, degradation=DegradationPolicy(min_quorum=1))
         try:
             x = rng.standard_normal((3, FEATURES))
             preds, winner, stats = master.infer(x)
@@ -278,7 +278,7 @@ class TestMalformedReplyGather:
             return self._result(msg, np.ones((1, 1)), np.zeros(1))
 
         master, honest = self._cluster_with_impostor(
-            reply, degrade_on_failure=False)
+            reply, degradation=DegradationPolicy())
         try:
             with pytest.raises(WorkerFailure):
                 master.infer(rng.standard_normal((3, FEATURES)))
@@ -292,7 +292,7 @@ class TestMalformedReplyGather:
                                    {"seq": msg.meta.get("seq")}, {})
 
         master, honest = self._cluster_with_impostor(
-            reply, degrade_on_failure=True)
+            reply, degradation=DegradationPolicy(min_quorum=1))
         try:
             _, _, stats = master.infer(rng.standard_normal((2, FEATURES)))
             assert stats.invalid_replies == 1
@@ -307,7 +307,7 @@ class TestMalformedReplyGather:
                                 np.zeros(rows, dtype=np.int64))
 
         master, honest = self._cluster_with_impostor(
-            reply, degrade_on_failure=True)
+            reply, degradation=DegradationPolicy(min_quorum=1))
         try:
             _, _, stats = master.infer(rng.standard_normal((2, FEATURES)))
             assert stats.invalid_replies == 1
@@ -325,7 +325,8 @@ class TestMalformedReplyGather:
             return self._result(msg, probs, np.zeros(rows))
 
         master, honest = self._cluster_with_impostor(
-            reply, degrade_on_failure=True, integrity=IntegrityConfig())
+            reply, degradation=DegradationPolicy(min_quorum=1),
+            integrity=IntegrityConfig())
         try:
             x = rng.standard_normal((3, FEATURES))
             preds, winner, stats = master.infer(x)
@@ -388,7 +389,7 @@ class TestQuarantineServing:
         experts = _experts(3, seed=2)
         canaries = make_canary_set(
             experts, rng.standard_normal((2, FEATURES)))
-        with SimCluster(experts, degrade_on_failure=False,
+        with SimCluster(experts, degradation=DegradationPolicy(),
                         integrity=IntegrityConfig(auto_redeploy=False),
                         canaries=canaries) as cluster:
             cluster.corrupt_worker(1, sharpen_expert)

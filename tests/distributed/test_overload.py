@@ -19,13 +19,13 @@ from repro.distributed.overload import (AdmissionController,
                                         OverloadConfig, RetryBudget,
                                         remaining_budget, BROWNOUT_LEVELS)
 from repro.distributed.resilience import (CircuitBreaker, DegradationPolicy,
-                                          ResilienceConfig)
+                                          QuorumError, ResilienceConfig)
 from repro.distributed.serving import (ServerOverloaded, ServeFuture,
                                        TeamNetServer)
 from repro.distributed.teamnet_runtime import ExpertWorker, InferenceStats
 from repro.nn import MLP
 from repro.testkit import SimCluster, forbid_sockets
-from repro.testkit.faults import FaultSchedule, LinkFaults
+from repro.testkit.faults import REPLY, FaultSchedule, LinkFaults
 
 
 class FakeClock:
@@ -205,6 +205,24 @@ class TestBrownoutController:
         brownout.observe(0.95)
         assert brownout.transitions == [(5.0, 0, 1, 0.95)]
 
+    def test_each_rung_says_what_a_batch_may_do(self):
+        brownout = BrownoutController(OverloadConfig(brownout_dwell=1),
+                                      clock=FakeClock())
+        floor3 = DegradationPolicy(min_quorum=3, max_entropy=0.5)
+        whole = DegradationPolicy()
+        seen = []
+        for rung in range(len(BROWNOUT_LEVELS)):
+            assert brownout.level == rung
+            hedge, policy = brownout.allowance(floor3)
+            seen.append((hedge, policy.min_quorum,
+                         brownout.allowance(whole)[1].min_quorum,
+                         brownout.linger_s(0.01)))
+            assert policy.max_entropy == 0.5
+            brownout.observe(1.0)
+        assert seen == [(True, 3, None, 0.01), (False, 3, None, 0.01),
+                        (False, 1, None, 0.01), (False, 1, None, 0.0)]
+        assert floor3.min_quorum == 3   # the configured policy is untouched
+
 
 # --------------------------------------------------------- breaker jitter
 class TestBreakerJitter:
@@ -271,17 +289,6 @@ class TestBreakerJitter:
         assert breaker.open_timeout_s == pytest.approx(1.0)
 
 
-# -------------------------------------------------------- quorum override
-class TestQuorumOverride:
-    def test_override_lowers_the_floor_for_one_call(self):
-        policy = DegradationPolicy(min_quorum=3)
-        assert policy.violations(2, None)
-        assert policy.violations(2, None, min_quorum=1) == []
-        # The configured policy is untouched.
-        assert policy.min_quorum == 3
-        assert policy.violations(2, None)
-
-
 # ------------------------------------------------- serving deadline edges
 class StubMaster:
     """The minimal master surface ``TeamNetServer`` drives, with hooks to
@@ -292,15 +299,14 @@ class StubMaster:
         self.engine = "tape"
         self.expert = MLP(3, n_classes, depth=1, width=4,
                           rng=np.random.default_rng(0))
-        self.hedging_override = None
-        self.min_quorum_override = None
+        self.degradation = DegradationPolicy()
         self.begin_calls = []
         self.on_begin = None
         self.on_finish = None
         self._clock = clock
 
     def _begin(self, x, segments=None, deadline_budget_s=None,
-               segment_budgets_s=None):
+               segment_budgets_s=None, hedge=True, degradation=None):
         self.begin_calls.append({"rows": len(x), "segments": segments,
                                  "deadline_budget_s": deadline_budget_s,
                                  "segment_budgets_s": segment_budgets_s})
@@ -660,18 +666,110 @@ class TestRetryBudgetWiring:
         with forbid_sockets(), \
                 SimCluster(experts, retry_budget=budget) as cluster:
             master, sent = armed_master(cluster)
-            delay, hedged = master._hedge_plan(sent)
+            delay, hedged = master._hedge_plan(sent, master.degradation)
             assert delay is not None and hedged == {sent[0].index}
             budget.try_spend(2.0)           # drain it
-            delay, hedged = master._hedge_plan(sent)
+            delay, hedged = master._hedge_plan(sent, master.degradation)
             assert delay is None and hedged == set()
 
-    def test_brownout_override_also_disables_hedging(self):
-        experts = [MLP(4, 3, depth=1, width=4,
-                       rng=np.random.default_rng(i)) for i in range(3)]
-        with forbid_sockets(), SimCluster(experts) as cluster:
-            master, sent = armed_master(cluster)
-            assert master._hedge_plan(sent)[0] is not None
-            master.hedging_override = False
-            delay, hedged = master._hedge_plan(sent)
-            assert delay is None and hedged == set()
+
+
+# ------------------------------------------- brownout on the served path
+def walk_ladder(server, rung):
+    """Feed the server's brownout ladder pressure samples until it
+    stands on ``rung`` (escalating or recovering, one dwell per rung)."""
+    brownout = server._brownout
+    while brownout.level != rung:
+        brownout.observe(1.0 if brownout.level < rung else 0.0)
+
+
+def straggler_cluster():
+    """Four experts; worker 1's replies take ~0.1 s of virtual time and
+    the others' ~10 ms, so a warmed-up master hedges worker 1."""
+    experts = [MLP(4, 3, depth=1, width=4,
+                   rng=np.random.default_rng(i)) for i in range(4)]
+    schedule = FaultSchedule(
+        seed=7, reply=LinkFaults(latency=(0.008, 0.012)),
+        per_address={("sim", 49152): {REPLY: LinkFaults(latency=(0.10,
+                                                                 0.101))}})
+    resilience = ResilienceConfig(hedge_min_samples=6, reset_timeout=0.0,
+                                  failure_threshold=10 ** 6)
+    return SimCluster(experts, schedule, reply_timeout=5.0,
+                      resilience=resilience)
+
+
+def short_handed_cluster():
+    """Three experts, both workers crashed, under a policy that refuses
+    any answer from fewer than all three."""
+    experts = [MLP(4, 3, depth=1, width=4,
+                   rng=np.random.default_rng(i)) for i in range(3)]
+    policy = DegradationPolicy(min_quorum=3, on_violation="raise")
+    cluster = SimCluster(experts, degradation=policy)
+    cluster.crash_worker(1)
+    cluster.crash_worker(2)
+    return cluster
+
+
+class TestBrownoutRungs:
+    def test_rung_one_turns_hedging_off(self, rng):
+        x = rng.standard_normal((2, 4))
+        with forbid_sockets(), straggler_cluster() as cluster:
+            for _ in range(2):          # fill the latency window
+                cluster.infer(x)
+            _, _, stats = cluster.infer(x)
+            assert stats.hedged_workers == [1]  # the straggler is hedged
+            server = cluster.serve(overload=OverloadConfig())
+            try:
+                walk_ladder(server, 1)
+                _, _, stats = server.submit(x).result(timeout=10.0)
+            finally:
+                server.close()
+        assert not stats.hedged and stats.hedge_delay_s is None
+        assert stats.participants == 4  # the straggler was waited out
+
+    def test_rung_two_answers_at_quorum_one(self, rng):
+        x = rng.standard_normal((2, 4))
+        with forbid_sockets(), short_handed_cluster() as cluster:
+            with pytest.raises(QuorumError):
+                cluster.infer(x)        # no brownout: the floor of 3 holds
+            server = cluster.serve(overload=OverloadConfig())
+            try:
+                walk_ladder(server, 1)
+                with pytest.raises(QuorumError):
+                    server.submit(x).result(timeout=10.0)
+                walk_ladder(server, 2)
+                _, winner, stats = server.submit(x).result(timeout=10.0)
+            finally:
+                server.close()
+            assert cluster.master.degradation.min_quorum == 3
+        assert stats.participants == 1 and stats.violations == []
+        assert np.all(winner == 0)
+
+    def test_a_rung_change_in_flight_keeps_the_batch_floor(
+            self, rng, monkeypatch):
+        """A batch is judged by the rung it was dispatched under, however
+        the ladder moves before its gather ends."""
+        x = rng.standard_normal((2, 4))
+        with forbid_sockets(), short_handed_cluster() as cluster:
+            master = cluster.master
+            server = cluster.serve(overload=OverloadConfig())
+            finish = master._finish
+
+            def move_then_finish(rung):
+                def wrapped(pending, local):
+                    walk_ladder(server, rung)
+                    return finish(pending, local)
+                return wrapped
+
+            try:
+                walk_ladder(server, 2)
+                monkeypatch.setattr(master, "_finish", move_then_finish(0))
+                _, _, stats = server.submit(x).result(timeout=10.0)
+                assert stats.participants == 1 and stats.violations == []
+                assert server._brownout.level == 0
+                monkeypatch.setattr(master, "_finish", move_then_finish(2))
+                with pytest.raises(QuorumError):
+                    server.submit(x).result(timeout=10.0)
+                assert server._brownout.level == 2
+            finally:
+                server.close()

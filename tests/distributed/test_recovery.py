@@ -16,9 +16,12 @@ import pytest
 from repro.comm import protocol
 from repro.comm.transport import connect
 from repro.core import TeamInference
-from repro.distributed import (ExpertWorker, ResilienceConfig,
-                               deploy_local_team)
+from repro.distributed import (DegradationPolicy, ExpertWorker,
+                               ResilienceConfig, deploy_local_team)
 from repro.nn import MLP, Module
+
+#: answer from whichever experts reply in time
+DEGRADE = DegradationPolicy(min_quorum=1)
 
 
 class SlowExpert(Module):
@@ -53,7 +56,7 @@ class TestConcurrentGather:
         experts = make_experts(4)
         team = [experts[0], experts[1],
                 SlowExpert(experts[2], delay_s=3 * timeout), experts[3]]
-        master, workers = deploy_local_team(team, degrade_on_failure=True,
+        master, workers = deploy_local_team(team, degradation=DEGRADE,
                                             reply_timeout=timeout)
         try:
             x = rng.standard_normal((4, 10)).astype(np.float32)
@@ -78,7 +81,7 @@ class TestConcurrentGather:
         experts = make_experts(4)
         team = [experts[0]] + [SlowExpert(e, delay_s=2 * timeout)
                                for e in experts[1:]]
-        master, workers = deploy_local_team(team, degrade_on_failure=True,
+        master, workers = deploy_local_team(team, degradation=DEGRADE,
                                             reply_timeout=timeout)
         try:
             x = rng.standard_normal((2, 10)).astype(np.float32)
@@ -101,7 +104,7 @@ class TestConcurrentGather:
         experts = make_experts(3)
         team = [experts[0], experts[1],
                 SlowExpert(experts[2], delay_s=3 * timeout)]
-        master, workers = deploy_local_team(team, degrade_on_failure=True,
+        master, workers = deploy_local_team(team, degradation=DEGRADE,
                                             reply_timeout=timeout)
         try:
             x = rng.standard_normal((2, 10)).astype(np.float32)
@@ -119,7 +122,7 @@ class TestConcurrentGather:
         experts = make_experts(3)
         team = [experts[0], experts[1],
                 SlowExpert(experts[2], delay_s=3 * timeout)]
-        master, workers = deploy_local_team(team, degrade_on_failure=True,
+        master, workers = deploy_local_team(team, degradation=DEGRADE,
                                             reply_timeout=timeout)
         try:
             x = rng.standard_normal((1, 10)).astype(np.float32)
@@ -153,7 +156,7 @@ class TestConcurrentGather:
         experts = make_experts(4)
         team = [experts[0]] + [SlowExpert(e, delay_s=0.03)
                                for e in experts[1:]]
-        master, workers = deploy_local_team(team, degrade_on_failure=True,
+        master, workers = deploy_local_team(team, degradation=DEGRADE,
                                             reply_timeout=1.0)
         try:
             x = rng.standard_normal((1, 10)).astype(np.float32)
@@ -174,7 +177,7 @@ class TestConcurrentGather:
         team = [experts[0], SlowExpert(experts[1], delay_s=0.1),
                 experts[2], experts[3]]
         master, workers = deploy_local_team(
-            team, degrade_on_failure=True, reply_timeout=2.0,
+            team, degradation=DEGRADE, reply_timeout=2.0,
             resilience=ResilienceConfig(hedge_min_samples=6,
                                         failure_threshold=10 ** 6,
                                         reset_timeout=0.0))
@@ -203,7 +206,7 @@ class TestWorkerRecovery:
         the backoff window, without constructing a new master."""
         experts = make_experts(3)
         master, workers = deploy_local_team(
-            experts, degrade_on_failure=True, reply_timeout=1.0,
+            experts, degradation=DEGRADE, reply_timeout=1.0,
             resilience=ResilienceConfig(reset_timeout=0.05,
                                         reset_timeout_max=0.2))
         try:
@@ -233,7 +236,7 @@ class TestWorkerRecovery:
         to the cap instead of hammering the address."""
         experts = make_experts(2)
         master, workers = deploy_local_team(
-            experts, degrade_on_failure=True, reply_timeout=0.5,
+            experts, degradation=DEGRADE, reply_timeout=0.5,
             resilience=ResilienceConfig(failure_threshold=2,
                                         reset_timeout=0.1,
                                         reset_timeout_max=0.4))

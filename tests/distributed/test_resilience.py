@@ -11,7 +11,7 @@ import pytest
 from repro.core.inference import TeamInference
 from repro.distributed import (CircuitBreaker, DegradationPolicy,
                                LatencyTracker, QuorumError, ResilienceConfig,
-                               SuspicionTracker)
+                               SuspicionTracker, TeamNetMaster, WorkerFailure)
 from repro.edge import resilience_table
 from repro.nn import MLP
 from repro.testkit import FaultSchedule, LinkFaults, SimCluster, forbid_sockets
@@ -157,6 +157,15 @@ class TestDegradationPolicy:
         assert len(policy.violations(2, 0.6)) == 2
         assert any("quorum" in v for v in policy.violations(1, None))
 
+    def test_whole_team_is_the_default(self):
+        policy = DegradationPolicy()
+        assert policy.min_quorum is None
+        # No floor to breach: a missing peer fails the inference instead
+        # (see TestDegradationWiring), and an expired shed is not missing.
+        assert policy.violations(1, None) == []
+        assert policy.violations(1, 0.6) == []
+        assert DegradationPolicy(max_entropy=0.5).violations(1, 0.6)
+
 
 class TestBreakerOnWire:
     def test_open_breaker_means_zero_broadcast_bytes(self):
@@ -273,7 +282,7 @@ class TestHedgedGather:
         (which would close the peer and fail every later request)."""
         experts, x, schedule, resilience = straggler_setup()
         with forbid_sockets(), \
-                SimCluster(experts, schedule, degrade_on_failure=False,
+                SimCluster(experts, schedule, degradation=DegradationPolicy(),
                            reply_timeout=5.0,
                            resilience=resilience) as cluster:
             for _ in range(6):
@@ -361,11 +370,41 @@ class TestDegradationWiring:
 
     def test_entropy_ceiling_flags_uncertain_answers(self):
         experts, x = make_team(k=3)
-        policy = DegradationPolicy(max_entropy=1e-9)
+        policy = DegradationPolicy(min_quorum=1, max_entropy=1e-9)
         with SimCluster(experts, degradation=policy) as cluster:
             _, _, stats = cluster.infer(x)
             assert any("entropy" in v for v in stats.violations)
             assert not stats.degraded  # full team answered — just unsure
+
+    @pytest.mark.parametrize("explicit", [True, False],
+                             ids=["DegradationPolicy()", "master-default"])
+    def test_whole_team_policy_fails_before_any_frame_is_sent(
+            self, explicit):
+        """``DegradationPolicy()`` and a master built without a policy
+        agree: once a worker is known down, an inference raises
+        WorkerFailure before a single frame goes out."""
+        experts, x = make_team(k=3)
+        whole_team = DegradationPolicy()
+        with forbid_sockets(), \
+                SimCluster(experts, degradation=whole_team) as cluster:
+            master = cluster.master
+            if not explicit:
+                master = TeamNetMaster(
+                    experts[0], [w.address for w in cluster.workers],
+                    reply_timeout=1.0, transport=cluster.network.transport)
+            try:
+                cluster.crash_worker(2)
+                with pytest.raises(WorkerFailure):
+                    master.infer(x)         # the failure is discovered
+                assert master.failed_workers == [2]
+                live = master._peers[0].sock.stats
+                sent = live.messages_sent
+                with pytest.raises(WorkerFailure, match="down"):
+                    master.infer(x)
+                assert live.messages_sent == sent
+            finally:
+                if master is not cluster.master:
+                    master.close()
 
     def test_healthy_full_team_has_no_violations(self):
         experts, x = make_team(k=3)

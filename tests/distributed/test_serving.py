@@ -12,6 +12,7 @@ import threading
 import numpy as np
 import pytest
 
+from repro.distributed import DegradationPolicy
 from repro.distributed.serving import (RequestAbandoned, ServerClosed,
                                        ServerOverloaded, TeamNetServer)
 from repro.distributed.teamnet_runtime import (WorkerFailure,
@@ -286,7 +287,7 @@ class TestFailurePropagation:
     def test_worker_failure_rejects_the_whole_batch(self):
         experts, requests = team_and_requests(14, n_requests=3)
         with forbid_sockets(), \
-                SimCluster(experts, degrade_on_failure=False,
+                SimCluster(experts, degradation=DegradationPolicy(),
                            reply_timeout=0.5) as cluster:
             cluster.crash_worker(1)
             server = TeamNetServer(cluster.master, max_batch=4)
@@ -308,7 +309,7 @@ class TestFailurePropagation:
         WorkerFailure, and no server thread survives."""
         experts, requests = team_and_requests(17, n_requests=4)
         with forbid_sockets(), \
-                SimCluster(experts, degrade_on_failure=False,
+                SimCluster(experts, degradation=DegradationPolicy(),
                            reply_timeout=0.5) as cluster:
             cluster.crash_worker(1)
             server = TeamNetServer(cluster.master, max_batch=1)
@@ -350,8 +351,7 @@ class TestFailurePropagation:
     def test_degraded_serving_keeps_answering(self):
         experts, requests = team_and_requests(15, n_requests=4)
         with forbid_sockets(), \
-                SimCluster(experts, degrade_on_failure=True,
-                           reply_timeout=0.5) as cluster:
+                SimCluster(experts, reply_timeout=0.5) as cluster:
             cluster.crash_worker(1)
             with cluster.serve(max_batch=4) as server:
                 for x in requests:

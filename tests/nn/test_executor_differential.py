@@ -25,7 +25,7 @@ import pytest
 from repro.core.inference import ENGINES, expert_forward
 from repro.nn import (BatchNorm2d, Linear, Module, Tensor, blas, build_model,
                       downsize, mlp_spec, no_grad, shake_shake_spec)
-from repro.nn.executor import TraceError, compile_expert
+from repro.nn.executor import TraceError, _verify, compile_expert
 from repro.testkit import strategies, write_repro_artifact
 from repro.testkit.differential import DEFAULT_REPRO_DIR
 
@@ -195,6 +195,44 @@ class TestBlasThreadCount:
             blas.release()
         _assert_bytes("probs", capped.probs, default.probs)
         _assert_bytes("entropy", capped.entropy, default.entropy)
+
+
+class TestVerifyTolerance:
+    """``compile_expert``'s self-check bounds a folded program's rounding
+    by the compute dtype's eps times the largest logit, not per element:
+    folding conv+bn moves every logit by a few ulps of the largest one."""
+
+    @staticmethod
+    def _expert_and_input(dtype=np.float32):
+        """A 4-way Shake-Shake-8 expert and one CIFAR-shaped input."""
+        expert = build_model(downsize(shake_shake_spec(8), 4),
+                             np.random.default_rng((7, 1)))
+        if dtype != np.float32:
+            expert.load_state_dict({name: value.astype(dtype)
+                                    for name, value
+                                    in expert.state_dict().items()})
+        x = np.random.default_rng(403).standard_normal((64, 1, 3, 32, 32))
+        return expert, x[0].astype(dtype)
+
+    def test_float32_rounding_near_a_zero_logit_is_accepted(self):
+        # Folding moves one near-zero logit of this expert on this input
+        # by 1.07e-6: 2.3 float32 eps of the largest logit (3.86), but
+        # past the fixed atol of 1e-6 the self-check used to apply.
+        expert, x = self._expert_and_input()
+        compiled = compile_expert(expert, x)
+        got, want = compiled.run(x), _tape_logits(expert, x)
+        assert np.max(np.abs(got - want)) < (
+            16 * np.finfo(np.float32).eps * np.max(np.abs(want)))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_a_real_divergence_is_still_rejected(self, dtype):
+        expert, x = self._expert_and_input(dtype)
+        compiled = compile_expert(expert, x)
+        stem = next(p for name, p in expert.named_parameters()
+                    if p.data.ndim == 4)    # the first conv's weight
+        stem.data = stem.data * (1 + 1e-3)
+        with pytest.raises(TraceError, match="diverges from tape"):
+            _verify(compiled, expert, x, exact=False)
 
 
 class _Stateful(Module):

@@ -99,6 +99,18 @@ def test_int8_is_an_archive_format_not_an_engine():
         assert "quantize_experts" in inspect.signature(fn).parameters
 
 
+def test_runtime_option_counts_only_shrink():
+    """A guard against option creep on the two runtime entry points.
+
+    ROADMAP item 4 aims for at most 6 constructor options.  A change that
+    adds an option must raise these counts here, in plain sight; a
+    change that removes one lowers them."""
+    from repro.distributed import TeamNetMaster, deploy_local_team
+    master = inspect.signature(TeamNetMaster.__init__).parameters
+    assert len(master) - 1 == 16     # without ``self``
+    assert len(inspect.signature(deploy_local_team).parameters) == 10
+
+
 def _fresh_interpreter(code: str) -> None:
     """Run ``code`` in a new interpreter that imports this checkout's
     ``repro``; its own asserts decide the outcome."""

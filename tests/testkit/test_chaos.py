@@ -5,7 +5,8 @@ long-lived cluster through a seeded storm of lossy links, crash/restart
 cycles and heartbeat probes, checking the availability invariants the
 resilience control plane promises after every single round:
 
-* the master always answers (degrade-on-failure, min_quorum=1);
+* the master always answers (``DegradationPolicy(min_quorum=1)``, the
+  SimCluster default);
 * the master itself is always a participant;
 * every winning expert comes from the surviving set;
 * the stats faithfully report participation and degradation;

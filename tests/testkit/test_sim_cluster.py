@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from repro.core.inference import TeamInference
+from repro.distributed import DegradationPolicy
 from repro.distributed.teamnet_runtime import WorkerFailure
 from repro.nn import MLP
 from repro.testkit import FaultSchedule, LinkFaults, SimCluster, forbid_sockets
@@ -100,7 +101,7 @@ class TestDegradation:
     def test_strict_mode_raises_worker_failure(self):
         experts, x = make_team()
         schedule = FaultSchedule(seed=1, reply=LinkFaults(drop=1.0))
-        with SimCluster(experts, schedule, degrade_on_failure=False,
+        with SimCluster(experts, schedule, degradation=DegradationPolicy(),
                         reply_timeout=2.0) as cluster:
             with pytest.raises(WorkerFailure):
                 cluster.infer(x)
