@@ -7,7 +7,9 @@ adds that layer without touching the protocol:
 * **Bounded admission** — :meth:`TeamNetServer.submit` enqueues a request
   and returns a :class:`ServeFuture`; a full queue rejects with
   :class:`ServerOverloaded` (open-loop load must shed, not silently grow
-  an unbounded backlog).
+  an unbounded backlog).  One plain lock covers the queue and the
+  counters, and an arrival wakes the dispatcher only if it sleeps
+  (waiting for work or lingering: any arrival ends a linger).
 * **Micro-batch coalescing** — the dispatcher drains whatever compatible
   requests are queued (same feature shape, up to ``max_batch``) into
   one broadcast.  The batch is cast to the team dtype once, as a whole,
@@ -93,7 +95,9 @@ class ServeFuture:
     :class:`InferenceStats` of the coalesced gather that served it.
     ``done_at`` is the ``time.monotonic()`` completion stamp (set before
     waiters wake), which is what lets an open-loop driver measure sojourn
-    without racing the wakeup.
+    without racing the wakeup.  A future is a ``_done`` flag set under
+    one lock all futures share (a batch settles in one pass under it); a
+    ``threading.Event`` is made only for a caller that blocks on it.
 
     A caller that gives up on a timed-out request should
     :meth:`abandon` it: the request stays in flight (the broadcast is
@@ -108,8 +112,8 @@ class ServeFuture:
     layer tags re-drives with (None for plain submissions).
     """
 
-    __slots__ = ("done_at", "request_id", "deadline_at", "_event", "_value",
-                 "_error", "_abandoned", "_callbacks", "_lock",
+    __slots__ = ("done_at", "request_id", "deadline_at", "_done", "_value",
+                 "_error", "_abandoned", "_waiter", "_callbacks",
                  "_abandon_hook")
 
     def __init__(self, request_id: int | None = None,
@@ -121,22 +125,22 @@ class ServeFuture:
         #: wire budgets) and the collector (to shed answers that landed
         #: too late)
         self.deadline_at = deadline_at
-        self._event = threading.Event()
+        self._done = False
         self._value: tuple | None = None
         self._error: BaseException | None = None
         self._abandoned = False
-        self._callbacks: list = []
-        self._lock = threading.Lock()
+        self._waiter: threading.Event | None = None  #: made by a blocker
+        self._callbacks: list | None = None
         self._abandon_hook = None
 
     def done(self) -> bool:
-        return self._event.is_set()
+        return self._done
 
     @property
     def state(self) -> str:
         if self._abandoned:
             return "abandoned"
-        if not self._event.is_set():
+        if not self._done:
             return "pending"
         return "failed" if self._error is not None else "done"
 
@@ -144,8 +148,13 @@ class ServeFuture:
                ) -> tuple[np.ndarray, np.ndarray, InferenceStats]:
         if self._abandoned:
             raise RequestAbandoned("request was abandoned by its caller")
-        if not self._event.wait(timeout):
-            raise TimeoutError("request still in flight")
+        if not self._done:
+            with _SETTLE:
+                if not self._done and self._waiter is None:
+                    self._waiter = threading.Event()
+                waiter = None if self._done else self._waiter
+            if waiter is not None and not waiter.wait(timeout):
+                raise TimeoutError("request still in flight")
         if self._error is not None:
             raise self._error
         return self._value
@@ -156,8 +165,8 @@ class ServeFuture:
         the in-flight work still concludes and is counted.  Returns True
         if this call made the transition (False: already settled or
         already abandoned)."""
-        with self._lock:
-            if self._abandoned or self._event.is_set():
+        with _SETTLE:
+            if self._abandoned or self._done:
                 return False
             self._abandoned = True
             hook = self._abandon_hook
@@ -170,8 +179,10 @@ class ServeFuture:
         already has).  Callbacks fire on resolve and reject alike, even
         when the future was abandoned — the failover layer's re-drive
         bookkeeping depends on seeing every outcome."""
-        with self._lock:
-            if not self._event.is_set():
+        with _SETTLE:
+            if not self._done:
+                if self._callbacks is None:
+                    self._callbacks = []
                 self._callbacks.append(fn)
                 return
         fn(self)
@@ -181,46 +192,59 @@ class ServeFuture:
         pending)."""
         return self._value, self._error
 
-    def _settle(self, value, error) -> bool:
-        """Record the outcome; returns True when it landed *late* (the
-        caller had already abandoned the request)."""
-        with self._lock:
-            if self._event.is_set():
-                return False
-            self._value = value
-            self._error = error
-            self.done_at = time.monotonic()
-            late = self._abandoned
-            callbacks, self._callbacks = self._callbacks, []
-            self._event.set()
-        for fn in callbacks:
-            fn(self)
-        return late
-
     def _resolve(self, value: tuple) -> bool:
-        return self._settle(value, None)
+        """Record an answer; True if the caller had abandoned it."""
+        return bool(_settle(((self, value, None),)))
 
     def _reject(self, error: BaseException) -> bool:
-        return self._settle(None, error)
+        return bool(_settle(((self, None, error),)))
+
+
+#: every future settles, blocks, abandons and takes callbacks under this
+_SETTLE = threading.Lock()
+
+
+def _settle(outcomes) -> int:
+    """Settle ``(future, value, error)`` triples in one pass under one
+    acquisition of the shared lock, then wake only the futures someone
+    blocks on and run only the callbacks that exist.  A future already
+    settled keeps its first outcome.  Returns how many landed late."""
+    late = 0
+    woken = []
+    with _SETTLE:
+        now = time.monotonic()
+        for future, value, error in outcomes:
+            if future._done:
+                continue
+            future._value = value
+            future._error = error
+            future.done_at = now
+            future._done = True
+            late += future._abandoned
+            if future._waiter is not None or future._callbacks is not None:
+                woken.append(future)
+    # Once _done is set no waiter or callback is added, so both are final.
+    for future in woken:
+        if future._waiter is not None:
+            future._waiter.set()
+        for fn in future._callbacks or ():
+            fn(future)
+    return late
 
 
 class _Request:
-    __slots__ = ("x", "future", "enqueued_at")
+    __slots__ = ("x", "key", "future", "enqueued_at")
 
-    def __init__(self, x: np.ndarray, request_id: int | None = None,
-                 enqueued_at: float | None = None,
-                 deadline_at: float | None = None):
+    def __init__(self, x: np.ndarray, future: ServeFuture,
+                 enqueued_at: float):
         self.x = x
+        #: what requests must share to ride one broadcast: any float is
+        #: exact in the widest float, so mixed floats cast once as a batch
+        #: round as alone; other dtypes (an int64 may not be exact in
+        #: float64) batch on their own
+        self.key = x.shape[1], ("f" if x.dtype.kind == "f" else x.dtype)
+        self.future = future
         self.enqueued_at = enqueued_at
-        self.future = ServeFuture(request_id, deadline_at=deadline_at)
-
-
-def _batch_key(x: np.ndarray) -> tuple:
-    """What requests must share to ride one broadcast.  Any float is
-    exact in the widest float, so a batch of mixed floats, cast once,
-    rounds each row as casting it alone would; other dtypes (an int64
-    may not be exact in float64) keep batches of their own."""
-    return x.shape[1:], ("f" if x.dtype.kind == "f" else x.dtype)
 
 
 @dataclass
@@ -312,13 +336,17 @@ class TeamNetServer:
                          if overload is not None else None)
         self._brownout = (BrownoutController(overload, clock=self._clock)
                           if overload is not None else None)
-        self._cond = threading.Condition()
+        # The dispatcher sleeps on _wakeup; an arrival notifies only
+        # while _idle says it sleeps.
+        self._lock = threading.Lock()
+        self._wakeup = threading.Condition(self._lock)
+        self._idle = False
         self._queue: deque[_Request] = deque()
+        self._deadlined = 0     #: queued requests that carry a deadline
         self._inflight: queue.Queue = queue.Queue(maxsize=max_inflight)
         self._closed = False
         self._started = False
         self._stats = ServerStats()
-        self._stats_lock = threading.Lock()
         self._dispatcher = threading.Thread(target=self._dispatch_loop,
                                             daemon=True,
                                             name="teamnet-serve-dispatch")
@@ -346,7 +374,7 @@ class TeamNetServer:
         batches already on the wire still conclude through the collector
         (to whatever end the dead connections dictate).
         """
-        with self._cond:
+        with self._lock:
             if self._closed:
                 return
             self._closed = True
@@ -356,15 +384,15 @@ class TeamNetServer:
                          if (not drain or not self._started) else [])
             if leftovers:
                 self._queue.clear()
-            self._cond.notify_all()
+                self._deadlined = 0
+            self._wakeup.notify_all()
         if leftovers:
             rejection = error if error is not None else ServerClosed(
                 "server closed" if self._started
                 else "server closed unstarted")
-            late = 0
-            for request in leftovers:
-                late += bool(request.future._reject(rejection))
-            with self._stats_lock:
+            late = _settle((request.future, None, rejection)
+                           for request in leftovers)
+            with self._lock:
                 self._stats.failed += len(leftovers)
                 self._stats.late_resolutions += late
         if self._started:
@@ -401,48 +429,48 @@ class TeamNetServer:
         deadline_at = (None if deadline_s is None
                        else now + float(deadline_s))
         if deadline_at is not None and deadline_at <= now:
-            with self._stats_lock:
+            with self._lock:
                 self._stats.rejected += 1
                 self._stats.shed_expired += 1
             raise DeadlineExpired(
                 f"deadline budget {deadline_s}s expired before admission")
-        request = _Request(x, request_id, enqueued_at=now,
-                           deadline_at=deadline_at)
-        request.future._abandon_hook = self._note_abandoned
-        with self._cond:
+        future = ServeFuture(request_id, deadline_at)
+        future._abandon_hook = self._note_abandoned
+        request = _Request(x, future, now)
+        with self._lock:
             if self._closed:
                 raise ServerClosed("server is closed")
             depth = len(self._queue)
-            oldest_age = (now - self._queue[0].enqueued_at
-                          if depth and self._queue[0].enqueued_at is not None
-                          else None)
             if depth >= self.max_queue:
-                with self._stats_lock:
-                    self._stats.rejected += 1
-                    self._stats.shed_admission += 1
-                raise ServerOverloaded(
+                raise self._overloaded(
                     f"admission queue is full ({self.max_queue})",
-                    queue_depth=depth, limit=self.max_queue,
-                    oldest_age_s=oldest_age)
+                    self.max_queue, now)
             if self._limiter is not None:
                 if not self._limiter.try_acquire():
-                    with self._stats_lock:
-                        self._stats.rejected += 1
-                        self._stats.shed_admission += 1
-                    raise ServerOverloaded(
+                    raise self._overloaded(
                         f"admission limit reached "
                         f"({self._limiter.limit} outstanding)",
-                        queue_depth=depth, limit=self._limiter.limit,
-                        oldest_age_s=oldest_age)
-                # One release per admission, exactly once: _settle fires
-                # callbacks exactly once, on resolve and reject alike.
-                request.future.add_done_callback(
-                    lambda _f: self._limiter.release())
+                        self._limiter.limit, now)
+                # One release per admission, exactly once: a future runs
+                # each callback once, on resolve and reject alike.
+                future.add_done_callback(lambda _f: self._limiter.release())
             self._queue.append(request)
-            self._cond.notify_all()
-        with self._stats_lock:
+            self._deadlined += deadline_at is not None
             self._stats.submitted += 1
-        return request.future
+            if self._idle:
+                self._idle = False
+                self._wakeup.notify()
+        return future
+
+    def _overloaded(self, message: str, limit: int, now: float
+                    ) -> ServerOverloaded:
+        """Count a shed at the door and build its error (lock held)."""
+        self._stats.rejected += 1
+        self._stats.shed_admission += 1
+        depth = len(self._queue)
+        return ServerOverloaded(
+            message, queue_depth=depth, limit=limit,
+            oldest_age_s=now - self._queue[0].enqueued_at if depth else None)
 
     def infer(self, x: np.ndarray, timeout: float | None = None
               ) -> tuple[np.ndarray, np.ndarray, InferenceStats]:
@@ -450,12 +478,12 @@ class TeamNetServer:
         return self.submit(x).result(timeout)
 
     def _note_abandoned(self, future: ServeFuture) -> None:
-        with self._stats_lock:
+        with self._lock:
             self._stats.abandoned += 1
 
     def stats(self) -> ServerStats:
         """A point-in-time copy of the cumulative serving counters."""
-        with self._stats_lock:
+        with self._lock:
             return ServerStats(**vars(self._stats))
 
     def overload_snapshot(self) -> dict:
@@ -475,7 +503,7 @@ class TeamNetServer:
 
     @property
     def queue_depth(self) -> int:
-        with self._cond:
+        with self._lock:
             return len(self._queue)
 
     # ---------------------------------------------------------- dispatcher
@@ -492,26 +520,26 @@ class TeamNetServer:
         while True:
             expired: list[_Request] = []
             batch: list[_Request] | None = None
-            with self._cond:
-                while not self._queue:
-                    if self._closed:
-                        break
-                    self._cond.wait()
+            with self._lock:
+                while not self._queue and not self._closed:
+                    self._sleep(None)
                 linger = (self.linger_s if self._brownout is None
                           else self._brownout.linger_s(self.linger_s))
                 if self._queue and linger > 0 \
                         and len(self._queue) < self.max_batch \
                         and not self._closed:
-                    self._cond.wait(linger)
-                now = self._clock()
-                keep: deque[_Request] = deque()
-                for request in self._queue:
-                    deadline_at = request.future.deadline_at
-                    if deadline_at is not None and now >= deadline_at:
-                        expired.append(request)
-                    else:
-                        keep.append(request)
-                self._queue = keep
+                    self._sleep(linger)
+                if self._deadlined:
+                    now = self._clock()
+                    keep: deque[_Request] = deque()
+                    for request in self._queue:
+                        deadline_at = request.future.deadline_at
+                        if deadline_at is not None and now >= deadline_at:
+                            expired.append(request)
+                        else:
+                            keep.append(request)
+                    self._queue = keep
+                    self._deadlined -= len(expired)
                 if self._queue:
                     lifo = (self._limiter is not None
                             and self._limiter.pressure
@@ -519,27 +547,34 @@ class TeamNetServer:
                     pop = (self._queue.pop if lifo
                            else self._queue.popleft)
                     batch = [pop()]
-                    key = _batch_key(batch[0].x)
+                    key = batch[0].key
                     peek = -1 if lifo else 0
                     while (self._queue and len(batch) < self.max_batch
-                           and _batch_key(self._queue[peek].x) == key):
+                           and self._queue[peek].key == key):
                         batch.append(pop())
+                    if self._deadlined:
+                        self._deadlined -= sum(
+                            r.future.deadline_at is not None for r in batch)
                 elif self._closed and not expired:
                     return None
             if expired:
-                late = 0
-                for request in expired:
-                    late += bool(request.future._reject(DeadlineExpired(
-                        "deadline expired while queued")))
-                with self._stats_lock:
+                late = _settle((request.future, None, DeadlineExpired(
+                    "deadline expired while queued")) for request in expired)
+                with self._lock:
                     self._stats.shed_expired += len(expired)
                     self._stats.failed += len(expired)
                     self._stats.late_resolutions += late
             if batch is not None:
                 return batch
-            with self._cond:
+            with self._lock:
                 if self._closed and not self._queue:
                     return None
+
+    def _sleep(self, timeout: float | None) -> None:
+        """Wait (lock held) until an arrival, ``close`` or ``timeout``."""
+        self._idle = True
+        self._wakeup.wait(timeout)
+        self._idle = False
 
     def _dispatch_loop(self) -> None:
         while True:
@@ -584,14 +619,9 @@ class TeamNetServer:
                                                 pending.x, segments,
                                                 engine=self.master.engine)
             except Exception as exc:  # noqa: BLE001 - delivered via futures
-                late = 0
-                for request in batch:
-                    late += bool(request.future._reject(exc))
-                with self._stats_lock:
-                    self._stats.failed += len(batch)
-                    self._stats.late_resolutions += late
+                self._fail(batch, exc)
                 continue
-            with self._stats_lock:
+            with self._lock:
                 self._stats.batches += 1
                 self._stats.batched_rows += len(batch_x)
                 self._stats.max_batch_requests = max(
@@ -599,6 +629,13 @@ class TeamNetServer:
             # Bounded: blocks when max_inflight broadcasts are already on
             # the wire — backpressure flows from gather to admission.
             self._inflight.put((batch, pending, local))
+
+    def _fail(self, batch: list[_Request], error: BaseException) -> None:
+        """Reject every request of a batch that could not be served."""
+        late = _settle((request.future, None, error) for request in batch)
+        with self._lock:
+            self._stats.failed += len(batch)
+            self._stats.late_resolutions += late
 
     # ----------------------------------------------------------- collector
     def _observe_turnaround(self, batch: list[_Request], now: float) -> None:
@@ -609,10 +646,7 @@ class TeamNetServer:
         pressure signal."""
         if self._limiter is None:
             return
-        enqueued = [r.enqueued_at for r in batch
-                    if r.enqueued_at is not None]
-        if enqueued:
-            self._limiter.on_sample(now - min(enqueued))
+        self._limiter.on_sample(now - min(r.enqueued_at for r in batch))
         self._brownout.observe(self._limiter.pressure)
 
     def _collect_loop(self) -> None:
@@ -624,18 +658,13 @@ class TeamNetServer:
             try:
                 preds, winner, stats = self.master._finish(pending, local)
             except Exception as exc:  # noqa: BLE001 - delivered via futures
-                late = 0
-                for request in batch:
-                    late += bool(request.future._reject(exc))
-                with self._stats_lock:
-                    self._stats.failed += len(batch)
-                    self._stats.late_resolutions += late
+                self._fail(batch, exc)
                 self._observe_turnaround(batch, self._clock())
                 continue
             now = self._clock()
             offset = 0
-            late = 0
-            completed = stale = 0
+            outcomes = []
+            stale = 0
             for request in batch:
                 rows = len(request.x)
                 deadline_at = request.future.deadline_at
@@ -643,18 +672,18 @@ class TeamNetServer:
                     # The answer exists but landed past the deadline: the
                     # client is gone.  Resolve expired exactly once; the
                     # computed answer is booked stale, never delivered.
-                    late += bool(request.future._reject(DeadlineExpired(
+                    outcomes.append((request.future, None, DeadlineExpired(
                         "answer arrived after the deadline")))
                     stale += 1
                 else:
-                    late += bool(request.future._resolve(
-                        (preds[offset:offset + rows],
-                         winner[offset:offset + rows],
-                         stats)))
-                    completed += 1
+                    outcomes.append((request.future,
+                                     (preds[offset:offset + rows],
+                                      winner[offset:offset + rows], stats),
+                                     None))
                 offset += rows
-            with self._stats_lock:
-                self._stats.completed += completed
+            late = _settle(outcomes)
+            with self._lock:
+                self._stats.completed += len(batch) - stale
                 self._stats.failed += stale
                 self._stats.shed_expired += stale
                 self._stats.stale_answers += stale

@@ -7,14 +7,17 @@ alone would have returned (``coalesce="exact"``), with admission bounds,
 drain-on-close, and failure propagation through futures.
 """
 
+import sys
 import threading
+import time
 
 import numpy as np
 import pytest
 
 from repro.distributed import DegradationPolicy
-from repro.distributed.serving import (RequestAbandoned, ServerClosed,
-                                       ServerOverloaded, TeamNetServer)
+from repro.distributed.serving import (RequestAbandoned, ServeFuture,
+                                       ServerClosed, ServerOverloaded,
+                                       TeamNetServer)
 from repro.distributed.teamnet_runtime import (WorkerFailure,
                                                deploy_local_team)
 from repro.testkit import SimCluster, forbid_sockets, strategies
@@ -281,6 +284,186 @@ class TestAbandonedRequests:
                 stats = server.stats()
                 assert stats.abandoned == 0
                 assert stats.late_resolutions == 0
+
+
+def blocked_waiters(future):
+    """How many threads sleep in ``result()`` on a pending future."""
+    waiter = future._waiter
+    return 0 if waiter is None else len(waiter._cond._waiters)
+
+
+def wait_for(predicate, timeout=10.0):
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        assert time.monotonic() < deadline, "condition never held"
+        time.sleep(0.001)
+
+
+class TestServeFuture:
+    def test_every_blocked_waiter_wakes_on_one_settle(self):
+        future = ServeFuture()
+        got = []
+
+        def waiter():
+            got.append(future.result(timeout=10.0))
+
+        threads = [threading.Thread(target=waiter) for _ in range(4)]
+        for t in threads:
+            t.start()
+        wait_for(lambda: blocked_waiters(future) == 4)
+        value = ("preds", "winner", "stats")
+        assert not future._resolve(value)
+        for t in threads:
+            t.join(timeout=10.0)
+        assert len(got) == 4 and all(v is value for v in got)
+
+    def test_no_waiter_is_made_unless_someone_blocks(self):
+        future = ServeFuture()
+        future._resolve(("answer",))
+        assert future.result() == ("answer",)
+        assert future._waiter is None and future._callbacks is None
+
+    def test_timed_out_result_leaves_the_future_settleable(self):
+        future = ServeFuture()
+        with pytest.raises(TimeoutError, match="in flight"):
+            future.result(timeout=0.01)
+        assert future.state == "pending"
+        assert not future._resolve(("late but fine",))
+        assert future.result(timeout=0.0) == ("late but fine",)
+        assert future.state == "done"
+        assert future.done_at is not None
+
+    def test_abandon_racing_a_settle_agrees_on_who_won(self):
+        barrier = threading.Barrier(2)
+        wins = 0
+        for round_ in range(1000):
+            future = ServeFuture()
+            outcome = {}
+
+            def abandon():
+                barrier.wait()
+                if round_ % 3 == 0:
+                    time.sleep(0)   # hand the GIL over: vary the winner
+                outcome["abandoned"] = future.abandon()
+
+            thread = threading.Thread(target=abandon)
+            thread.start()
+            barrier.wait()
+            if round_ % 2:
+                time.sleep(0)
+                late = future._reject(RuntimeError("failed"))
+            else:
+                late = future._resolve(("answer",))
+            thread.join(timeout=10.0)
+            assert outcome["abandoned"] == late, f"round {round_}"
+            assert future.state == ("abandoned" if late else
+                                    "failed" if round_ % 2 else "done")
+            wins += late
+        assert 0 < wins < 1000, "the race never went both ways"
+
+    def test_abandon_racing_a_server_settle_is_counted_once(self):
+        experts, requests = team_and_requests(20, n_requests=1)
+        with forbid_sockets(), SimCluster(experts) as cluster:
+            server = TeamNetServer(cluster.master, max_queue=1000)
+            futures = [server.submit(requests[0]) for _ in range(1000)]
+            won = []
+            barrier = threading.Barrier(2)
+
+            def abandon():
+                barrier.wait()
+                for i, future in enumerate(futures):
+                    if i % 100 == 0:
+                        time.sleep(0)   # let the settle pass cut in
+                    won.append(future.abandon())
+
+            thread = threading.Thread(target=abandon)
+            thread.start()
+            barrier.wait()
+            time.sleep(0.0002)
+            server.close(drain=False)   # one settle pass over the queue
+            thread.join(timeout=10.0)
+        stats = server.stats()
+        assert stats.failed == 1000
+        assert stats.abandoned == stats.late_resolutions == sum(won)
+        for future, abandoned in zip(futures, won):
+            assert future.done()
+            assert future.state == ("abandoned" if abandoned else "failed")
+
+    @pytest.mark.parametrize("how", ["resolve", "reject", "abandoned"])
+    def test_callbacks_run_once_whenever_they_are_added(self, how):
+        future = ServeFuture()
+        calls = []
+        future.add_done_callback(lambda f: calls.append("before"))
+        if how == "abandoned":
+            assert future.abandon()
+        stop = threading.Event()
+
+        def register():     # keeps adding callbacks across the settle
+            n = 0
+            while not stop.is_set() or n < 100:
+                future.add_done_callback(
+                    lambda f, n=n: calls.append(("during", n)))
+                n += 1
+            registered.append(n)
+
+        registered = []
+        thread = threading.Thread(target=register)
+        thread.start()
+        wait_for(lambda: future._callbacks is not None
+                 and len(future._callbacks) > 50)
+        if how == "reject":
+            future._reject(RuntimeError("failed"))
+        else:
+            future._resolve(("answer",))
+        stop.set()
+        thread.join(timeout=10.0)
+        future.add_done_callback(lambda f: calls.append("after"))
+        during = [c for c in calls if isinstance(c, tuple)]
+        assert sorted(n for _, n in during) == list(range(registered[0]))
+        assert calls.count("before") == 1 and calls.count("after") == 1
+        assert calls[0] == "before" and calls[-1] == "after"
+
+
+class TestWakeRule:
+    def test_an_arrival_ends_a_linger(self):
+        experts, requests = team_and_requests(21, n_requests=2)
+        with forbid_sockets(), SimCluster(experts) as cluster:
+            with cluster.serve(linger_s=5.0) as server:
+                start = time.monotonic()
+                first = server.submit(requests[0])
+                time.sleep(0.05)
+                second = server.submit(requests[1])
+                first.result(timeout=10.0)
+                second.result(timeout=10.0)
+                elapsed = time.monotonic() - start
+                stats = server.stats()
+        assert elapsed < 1.0
+        assert stats.batches == 1 and stats.max_batch_requests == 2
+
+    def test_concurrent_submitters_are_all_counted(self):
+        experts, requests = team_and_requests(22, n_requests=8)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)     # interleave the submitters finely
+        try:
+            with forbid_sockets(), SimCluster(experts) as cluster:
+                with cluster.serve(max_batch=16, max_queue=400) as server:
+                    def client(x):
+                        futures = [server.submit(x) for _ in range(50)]
+                        for future in futures:
+                            future.result(timeout=30.0)
+
+                    threads = [threading.Thread(target=client, args=(x,))
+                               for x in requests]
+                    for t in threads:
+                        t.start()
+                    for t in threads:
+                        t.join(timeout=60.0)
+                    assert not any(t.is_alive() for t in threads)
+                    stats = server.stats()
+        finally:
+            sys.setswitchinterval(interval)
+        assert stats.submitted == stats.completed + stats.failed == 400
+        assert stats.failed == 0
 
 
 class TestFailurePropagation:
