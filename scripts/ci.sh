@@ -15,12 +15,12 @@
 #       schedule to CHAOS_REPRO_DIR (default .chaos-repro/).
 #   scripts/ci.sh --fastpath                 # hot-path gate: the
 #       executor-vs-tape and serving differential suites plus the reply
-#       demux and gather-recovery suites (the gather the caller reads
-#       itself) and the serving suite (the future and the submit/
-#       dispatcher/collector hand-offs), for each seed in TESTKIT_SEEDS
-#       (default "0 1 2"; failing cases leave repro JSONs in
-#       TESTKIT_REPRO_DIR).  Speed is the bench's job (--bench), not
-#       this gate's.
+#       demux, gather-recovery and sim hedging suites (the gather the
+#       caller reads itself, on both fabrics) and the serving suite (the
+#       future and the submit/dispatcher/collector hand-offs), for each
+#       seed in TESTKIT_SEEDS (default "0 1 2"; failing cases leave
+#       repro JSONs in TESTKIT_REPRO_DIR).  Speed is the bench's job
+#       (--bench), not this gate's.
 #   scripts/ci.sh --crash                    # durability soak: seeded
 #       kill-during-checkpoint / torn-file / bit-exact-resume rounds, one
 #       soak per seed in CRASH_SEEDS (default "0 1 2 3"), CRASH_ROUNDS
@@ -98,7 +98,7 @@ export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 declare -A MODES=(
     [--testkit]="testkit sweep|TESTKIT|0 1 2|.testkit-repro||tests/testkit||"
     [--chaos]="chaos soak|CHAOS|0 1 2 3|.chaos-repro|60|tests/testkit/test_chaos.py||"
-    [--fastpath]="fast-path differential|TESTKIT|0 1 2|.testkit-repro||tests/nn/test_executor_differential.py tests/testkit/test_serving_differential.py tests/comm/test_demux.py tests/distributed/test_recovery.py tests/distributed/test_serving.py||"
+    [--fastpath]="fast-path differential|TESTKIT|0 1 2|.testkit-repro||tests/nn/test_executor_differential.py tests/testkit/test_serving_differential.py tests/comm/test_demux.py tests/distributed/test_recovery.py tests/distributed/test_resilience.py tests/distributed/test_serving.py||"
     [--crash]="crash soak|CRASH|0 1 2 3|.crash-repro|25|tests/testkit/test_crash.py||"
     [--failover]="failover soak|FAILOVER|0 1 2|.testkit-repro|10|tests/testkit/test_failover.py|failover bench: recovery within the lease budget|benchmarks/test_bench_failover.py"
     [--integrity]="integrity soak|INTEGRITY|0 1 2|.testkit-repro|8|tests/testkit/test_integrity.py tests/distributed/test_integrity.py|integrity bench: detection within the probe budget|benchmarks/test_bench_integrity.py"

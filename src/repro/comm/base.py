@@ -27,9 +27,9 @@ Endpoint contract (duck-typed; see :class:`repro.comm.transport.MeteredSocket`):
   so latency telemetry stays deterministic under the simulation's
   virtual clock; an endpoint without it (a real socket) has its replies
   timed by the demux, from when each was awaited to when it was read.
-* ``fileno() -> int`` (optional) — a pollable descriptor (-1 once
-  closed).  Demuxes in one :class:`repro.comm.demux.DemuxGroup` poll
-  these to read replies in arrival order.
+* ``fileno() -> int`` — polls readable when ``recv`` would not block
+  (-1 once closed).  :class:`repro.comm.demux.DemuxGroup` polls these to
+  read replies in arrival order; on the sim it is a readiness pipe.
 
 Listener contract (see :class:`repro.comm.transport.Listener`):
 

@@ -33,12 +33,10 @@ must neither carry the straggler's wait in its latency (which would
 blunt hedging and the failure detector) nor sit out a deadline.  So
 demuxes built with one :class:`DemuxGroup` — a master's peer
 connections — are read together: a thread about to block on one
-member's socket also takes the reader role of every other member that
-has replies pending and no reader, polls all those sockets at once, and
-reads each frame as it lands.  Only endpoints with a ``fileno`` (real
-sockets) can be polled; the simulated fabric's endpoints are read one
-slot at a time (their latencies are scripted per frame, so the read
-order does not skew them).
+member's endpoint also takes the reader role of every other member that
+has replies pending and no reader, polls all their descriptors at
+once, and reads each frame as it lands.  Both fabrics take this one
+path; a demux built without a group reads in a group of its own.
 
 Timeout semantics are the subtle part, because the simulated fabric
 (:mod:`repro.testkit.sim_transport`) decides delivery-vs-timeout
@@ -54,9 +52,8 @@ fails.  In the sim, delivered frames always satisfied the tightest
 pending deadline, so a frame can never resolve a slot whose own
 allowance it exceeded.
 
-A slot's deadline can still pass before its waiter reads it: while the
-caller was blocked on another connection (outside a group, or on the
-sim), or busy between two reads.  Such a slot reads once with zero wait
+A slot's deadline can still pass before its waiter reads it, while the
+caller was busy between two reads.  Such a slot reads once with zero wait
 before it fails.  A frame already present is taken and only an empty
 stream times out — on TCP and on zero-delay sim links.  The sim
 compares a frame's scripted transit delay with the recv's timeout, so
@@ -172,10 +169,7 @@ class ReplySlot:
                 # own slot is pending, so there is a nearest deadline.
                 demux._reading = True
                 nearest = demux._nearest()
-            if demux._group is None:
-                demux._read(nearest, _remaining(nearest))
-            else:
-                demux._group._read(demux, nearest)
+            demux._group._read(demux, nearest)
         outcome = self._outcome
         if isinstance(outcome, Exception):
             raise outcome
@@ -198,7 +192,7 @@ class ReplyDemux:
     the receive side is read by whichever waiter holds the reader role.
     ``expect`` must be called before the matching request is sent.
     Demuxes sharing a ``group`` are read in arrival order (see
-    :class:`DemuxGroup`).
+    :class:`DemuxGroup`); without one, a demux is its own group.
     """
 
     def __init__(self, endpoint, group: "DemuxGroup | None" = None):
@@ -214,11 +208,8 @@ class ReplyDemux:
         #: what a reader blocked on the connection all along would wait.
         self._scripted_latency = hasattr(endpoint, "last_recv_latency_s")
         self._last_read = 0.0
-        #: pollable endpoints join ``group`` (see :class:`DemuxGroup`)
-        self._fileno = getattr(endpoint, "fileno", None)
-        self._group = group if self._fileno is not None else None
-        if self._group is not None:
-            self._group._add(self)
+        self._group = group if group is not None else DemuxGroup()
+        self._group._add(self)
         #: frames received that no slot was waiting for (stale replies to
         #: earlier requests), and their metered bytes — drained by the
         #: next gather on this connection so traffic stays attributed.
@@ -276,11 +267,9 @@ class ReplyDemux:
 
     # --------------------------------------------------------------- reader
     def _claim(self) -> ReplySlot | None:
-        """Take the reader role for a group read: only a live, pollable
-        connection with replies pending and nobody reading it.  Returns
-        its nearest pending slot, or None when it is not to be read."""
-        if self._fileno is None:
-            return None
+        """Take the reader role for a group read: only a live connection
+        with replies pending and nobody reading it.  Returns its nearest
+        pending slot, or None when it is not to be read."""
         with self._cond:
             if self._reading or self._dead is not None or not self._pending:
                 return None
@@ -316,8 +305,7 @@ class ReplyDemux:
             if slot._outcome is None:
                 slot._outcome = error
         self._pending.clear()
-        if self._group is not None:
-            self._group._discard(self)
+        self._group._discard(self)
 
     def _read(self, nearest: ReplySlot, timeout: float | None) -> None:
         """Read one frame, route it, and let the reader role go.
@@ -380,15 +368,14 @@ class ReplyDemux:
 class DemuxGroup:
     """The connections one caller gathers from, read in arrival order.
 
-    A waiter about to read one member's socket first takes the reader
+    A waiter about to read one member's endpoint first takes the reader
     role of every other member with replies pending and nobody reading
-    it, then polls all their sockets together and reads each one that
-    turns readable — one frame each — before letting the roles go.  A
-    gather that waits on its peers one after another thus still reads,
-    and times, every reply when it lands.  When no other member needs
-    reading the waiter reads its own socket directly, as an ungrouped
-    demux would.  Members join at construction (pollable endpoints
-    only) and leave when their stream dies or closes.
+    it, then polls all their descriptors together and reads each one
+    that turns readable — one frame each — before letting the roles go.
+    A gather that waits on its peers one after another thus still
+    reads, and times, every reply when it lands.  When no other member
+    needs reading the waiter reads its own endpoint directly.  Members
+    join at construction and leave when their stream dies or closes.
     """
 
     def __init__(self):
@@ -440,14 +427,14 @@ def _remaining(slot: ReplySlot) -> float | None:
 def _poll(held: list[tuple[ReplyDemux, ReplySlot]]
           ) -> list[tuple[ReplyDemux, ReplySlot]]:
     """The ``(demux, nearest slot)`` entries to read one frame from: those
-    whose sockets are readable (or closed — the read then fails them)
+    whose endpoints are readable (or closed — the read then fails them)
     within the tightest of their deadlines, else the entry owning that
     deadline, whose zero-wait read will time it out."""
     poller = select.poll()
     by_fd = {}
     ready = []
     for entry in held:
-        fd = entry[0]._fileno()
+        fd = entry[0]._endpoint.fileno()
         if fd < 0:
             ready.append(entry)
         else:

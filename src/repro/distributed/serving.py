@@ -44,6 +44,7 @@ from __future__ import annotations
 import queue
 import threading
 import time
+import traceback
 from collections import deque
 from dataclasses import dataclass
 
@@ -194,22 +195,23 @@ class ServeFuture:
 
     def _resolve(self, value: tuple) -> bool:
         """Record an answer; True if the caller had abandoned it."""
-        return bool(_settle(((self, value, None),)))
+        return bool(_settle(((self, value, None),))[0])
 
     def _reject(self, error: BaseException) -> bool:
-        return bool(_settle(((self, None, error),)))
+        return bool(_settle(((self, None, error),))[0])
 
 
 #: every future settles, blocks, abandons and takes callbacks under this
 _SETTLE = threading.Lock()
 
 
-def _settle(outcomes) -> int:
+def _settle(outcomes) -> tuple[int, int]:
     """Settle ``(future, value, error)`` triples in one pass under one
     acquisition of the shared lock, then wake only the futures someone
     blocks on and run only the callbacks that exist.  A future already
-    settled keeps its first outcome.  Returns how many landed late."""
-    late = 0
+    settled keeps its first outcome.  A raising callback is printed and
+    counted.  Returns ``(landed late, callbacks that raised)``."""
+    late = broken = 0
     woken = []
     with _SETTLE:
         now = time.monotonic()
@@ -228,8 +230,12 @@ def _settle(outcomes) -> int:
         if future._waiter is not None:
             future._waiter.set()
         for fn in future._callbacks or ():
-            fn(future)
-    return late
+            try:
+                fn(future)
+            except Exception:  # noqa: BLE001 - must not stop the settler
+                traceback.print_exc()
+                broken += 1
+    return late, broken
 
 
 class _Request:
@@ -270,6 +276,8 @@ class ServerStats:
     #: answers that arrived after their request's deadline: the gather
     #: did the work but the client had already timed out
     stale_answers: int = 0
+    #: done-callbacks that raised as a future settled (serving went on)
+    callback_errors: int = 0
 
     @property
     def mean_batch_requests(self) -> float:
@@ -390,11 +398,8 @@ class TeamNetServer:
             rejection = error if error is not None else ServerClosed(
                 "server closed" if self._started
                 else "server closed unstarted")
-            late = _settle((request.future, None, rejection)
-                           for request in leftovers)
-            with self._lock:
-                self._stats.failed += len(leftovers)
-                self._stats.late_resolutions += late
+            self._conclude(((request.future, None, rejection)
+                            for request in leftovers), failed=len(leftovers))
         if self._started:
             self._dispatcher.join(timeout)
             self._collector.join(timeout)
@@ -558,12 +563,9 @@ class TeamNetServer:
                 elif self._closed and not expired:
                     return None
             if expired:
-                late = _settle((request.future, None, DeadlineExpired(
-                    "deadline expired while queued")) for request in expired)
-                with self._lock:
-                    self._stats.shed_expired += len(expired)
-                    self._stats.failed += len(expired)
-                    self._stats.late_resolutions += late
+                self._conclude(((request.future, None, DeadlineExpired(
+                    "deadline expired while queued")) for request in expired),
+                    shed_expired=len(expired), failed=len(expired))
             if batch is not None:
                 return batch
             with self._lock:
@@ -632,10 +634,16 @@ class TeamNetServer:
 
     def _fail(self, batch: list[_Request], error: BaseException) -> None:
         """Reject every request of a batch that could not be served."""
-        late = _settle((request.future, None, error) for request in batch)
+        self._conclude(((request.future, None, error) for request in batch),
+                       failed=len(batch))
+
+    def _conclude(self, outcomes, **counts: int) -> None:
+        """Settle ``outcomes``; book ``counts`` and what settling found."""
+        counts["late_resolutions"], counts["callback_errors"] = _settle(
+            outcomes)
         with self._lock:
-            self._stats.failed += len(batch)
-            self._stats.late_resolutions += late
+            for name, count in counts.items():
+                setattr(self._stats, name, getattr(self._stats, name) + count)
 
     # ----------------------------------------------------------- collector
     def _observe_turnaround(self, batch: list[_Request], now: float) -> None:
@@ -681,11 +689,7 @@ class TeamNetServer:
                                       winner[offset:offset + rows], stats),
                                      None))
                 offset += rows
-            late = _settle(outcomes)
-            with self._lock:
-                self._stats.completed += len(batch) - stale
-                self._stats.failed += stale
-                self._stats.shed_expired += stale
-                self._stats.stale_answers += stale
-                self._stats.late_resolutions += late
+            self._conclude(outcomes, completed=len(batch) - stale,
+                           failed=stale, shed_expired=stale,
+                           stale_answers=stale)
             self._observe_turnaround(batch, now)

@@ -20,6 +20,9 @@ real socket or sleeping a single real millisecond:
 * **Kills** enqueue a poison frame: the receiver that reaches it sees a
   ``FrameError`` exactly where a TCP peer would see a connection die
   mid-frame, and the sender's next use of the link fails too.
+* **Readiness** is a real pipe, the fabric's one OS resource: made by
+  ``fileno`` (only polled peer connections ask), readable exactly while
+  ``recv`` would not wait for the peer, closed with the endpoint.
 
 Blocking only happens while a real in-process peer is genuinely
 computing (condition-variable waits that end the moment the peer sends),
@@ -28,6 +31,7 @@ which is what makes a full master/worker inference run in microseconds.
 
 from __future__ import annotations
 
+import os
 import threading
 import time
 from collections import deque
@@ -81,6 +85,8 @@ class SimEndpoint:
         self._link_dead = False   # a kill fault fired on this connection
         self._peer: SimEndpoint | None = None
         self._faults: LinkStream | None = None
+        self._pipe: tuple[int, int] | None = None  # (read, write) fds
+        self._ready = False       # the pipe holds its one byte
 
     # ---------------------------------------------------------------- send
     def send(self, payload: bytes) -> None:
@@ -131,11 +137,13 @@ class SimEndpoint:
                 self._queue.appendleft(entry)
             else:
                 self._queue.append(entry)
+            self._signal()
             self._cond.notify_all()
 
     def _note_lost(self) -> None:
         with self._cond:
             self._lost += 1
+            self._signal()
             self._cond.notify_all()
 
     # ---------------------------------------------------------------- recv
@@ -170,6 +178,7 @@ class SimEndpoint:
                         raise TimeoutError(
                             f"no frame within {timeout}s (virtual)")
                     self._queue.popleft()
+                    self._signal()
                     self._clock.advance_to(entry.arrival)
                     # The scripted transit delay IS the observed latency:
                     # reading it off the message (not the shared clock)
@@ -182,6 +191,7 @@ class SimEndpoint:
                     return entry.payload
                 if self._lost > 0 and timeout is not None:
                     self._lost -= 1
+                    self._signal()
                     self._clock.advance(timeout)
                     raise TimeoutError(
                         f"no frame within {timeout}s (message lost)")
@@ -193,9 +203,34 @@ class SimEndpoint:
                     raise TimeoutError(f"no frame within {timeout}s")
                 self._cond.wait(remaining)
 
+    def fileno(self) -> int:
+        """A pipe readable while a frame or drop tombstone is queued or
+        the peer closed (so :meth:`recv` would not wait); -1 once closed."""
+        with self._cond:
+            if self._closed:
+                return -1
+            if self._pipe is None:
+                self._pipe = os.pipe()
+                self._signal()
+            return self._pipe[0]
+
+    def _signal(self) -> None:
+        """Keep the pipe's one byte in step with readiness (lock held)."""
+        ready = bool(self._queue) or self._lost > 0 or self._peer_closed
+        if self._pipe is not None and ready != self._ready:
+            if ready:
+                os.write(self._pipe[1], b"\0")
+            else:
+                os.read(self._pipe[0], 1)
+            self._ready = ready
+
     # --------------------------------------------------------------- close
     def close(self) -> None:
         with self._cond:
+            if self._pipe is not None:  # also after a kill frame closed us
+                os.close(self._pipe[1])  # first: wakes a poll on the read end
+                os.close(self._pipe[0])
+                self._pipe = None
             if self._closed:
                 return
             self._closed = True
@@ -204,6 +239,7 @@ class SimEndpoint:
         if peer is not None:
             with peer._cond:
                 peer._peer_closed = True
+                peer._signal()
                 peer._cond.notify_all()
 
     def __enter__(self):

@@ -2,11 +2,12 @@
 
 A listener/client endpoint pair stands in for a worker connection, with
 the test playing the worker side by pushing frames directly.  The
-routing, channel-death and caller-reading suites run twice: on the
-simulated fabric (no real sockets; a :class:`SimNetwork` pair) and, in
-their ``...OverTcp`` subclasses, on a real TCP loopback pair.
+routing, channel-death, caller-reading and group-read suites run twice:
+on the simulated fabric (no real sockets; a :class:`SimNetwork` pair)
+and, in their ``...OverTcp`` subclasses, on a real TCP loopback pair.
 """
 
+import functools
 import random
 import sys
 import threading
@@ -332,44 +333,44 @@ class TestCallerReadsOverTcp(OverTcp, TestCallerReads):
     pass
 
 
-class TestGroupReadsOverTcp(OverTcp):
+class TestGroupReads:
     """Demuxes sharing a :class:`DemuxGroup` are read in arrival order,
-    whichever member's slot the caller happens to wait on."""
+    whichever member's slot the caller happens to wait on.  On the sim
+    fabric a reply's arrival is its link's scripted latency."""
 
     @pytest.fixture
-    def grouped(self, fabric):
-        group = DemuxGroup()
+    def grouped(self):
+        """``grouped(*delays)``: one member per delay, as ``(demux,
+        reply)``; ``reply(frame)`` sends a frame that lands after its
+        member's delay."""
+        opened = []
 
-        def open_members(count):
-            pairs = [fabric() for _ in range(count)]
-            return [(ReplyDemux(client, group), server)
-                    for client, server in pairs]
+        def open_members(*delays):
+            group = DemuxGroup()
+            members = []
+            for delay in delays:
+                client, server = make_pair(SimNetwork(FaultSchedule(
+                    reply=LinkFaults(latency=(delay, delay)))))
+                opened.extend((client, server))
+                members.append((ReplyDemux(client, group), server.send))
+            return members
 
-        yield open_members
-
-    @staticmethod
-    def replies_at(*schedule):
-        """``(delay_s, server, frame)`` sends on timers; returns them."""
-        timers = [threading.Timer(delay, server.send, args=(frame,))
-                  for delay, server, frame in schedule]
-        for timer in timers:
-            timer.start()
-        return timers
+        with forbid_sockets():
+            yield open_members
+            for endpoint in opened:
+                endpoint.close()
 
     def test_reply_is_timed_when_it_lands_not_when_reached(self, grouped):
         """The caller waits on the slow member first; the fast member's
         reply is read while it waits, so its latency is its own."""
-        (slow, slow_server), (fast, fast_server) = grouped(2)
+        (slow, slow_reply), (fast, fast_reply) = grouped(0.3, 0.02)
         slow_slot = slow.expect(1, timeout=2.0)
         fast_slot = fast.expect(1, timeout=2.0)
-        timers = self.replies_at((0.3, slow_server, result_frame(1)),
-                                 (0.02, fast_server, result_frame(1)))
-        try:
-            slow_latency = slow_slot.wait()[1]
-            fast_latency = fast_slot.wait()[1]
-        finally:
-            for timer in timers:
-                timer.join()
+        slow_reply(result_frame(1))
+        fast_reply(result_frame(1))
+        slow_latency = slow_slot.wait()[1]
+        assert fast_slot._outcome is not None  # read during that wait
+        fast_latency = fast_slot.wait()[1]
         assert slow_latency >= 0.29
         assert fast_latency < 0.15
 
@@ -377,18 +378,15 @@ class TestGroupReadsOverTcp(OverTcp):
         """While the caller waits on another member, a member's slot
         still fails when its deadline passes — a hedged peer is cut off
         on time — and its reply landing later is not taken."""
-        (slow, slow_server), (hedged, hedged_server) = grouped(2)
+        (slow, slow_reply), (hedged, hedged_reply) = grouped(0.3, 0.15)
         slow_slot = slow.expect(1, timeout=2.0)
         hedged_slot = hedged.expect(1, timeout=0.05)
-        timers = self.replies_at((0.3, slow_server, result_frame(1)),
-                                 (0.15, hedged_server, result_frame(1)))
-        try:
-            slow_slot.wait()
-            with pytest.raises(TimeoutError):
-                hedged_slot.wait()
-        finally:
-            for timer in timers:
-                timer.join()
+        slow_reply(result_frame(1))
+        hedged_reply(result_frame(1))
+        slow_slot.wait()
+        assert isinstance(hedged_slot._outcome, TimeoutError)
+        with pytest.raises(TimeoutError):
+            hedged_slot.wait()
         assert hedged.dead and not slow.dead
 
     def test_waiters_on_different_members_each_get_their_reply(self,
@@ -396,15 +394,15 @@ class TestGroupReadsOverTcp(OverTcp):
         """One waiter per member, replies landing in reverse order: the
         reader roles pass between the waiters and every reply reaches
         its own slot."""
-        members = grouped(3)
+        members = grouped(0, 0, 0)
         switch = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
             for round_ in range(20):
                 waiters = [Waiter(demux.expect(round_, timeout=5.0))
                            for demux, _ in members]
-                for index, (_, server) in reversed(list(enumerate(members))):
-                    server.send(result_frame(round_, tag=f"m{index}"))
+                for index, (_, reply) in reversed(list(enumerate(members))):
+                    reply(result_frame(round_, tag=f"m{index}"))
                 for index, waiter in enumerate(waiters):
                     assert waiter.outcome()[0].meta["tag"] == f"m{index}"
         finally:
@@ -412,16 +410,51 @@ class TestGroupReadsOverTcp(OverTcp):
         for demux, _ in members:
             assert demux.take_stale() == (0, 0) and not demux.dead
 
-    def test_members_leave_when_their_stream_dies(self, grouped, fabric):
-        members = [demux for demux, _ in grouped(2)]
+    def test_members_leave_when_their_stream_dies(self, grouped):
+        members = [demux for demux, _ in grouped(0, 0)]
         group = members[0]._group
         assert list(group._members) == members
         members[0].close()
         assert list(group._members) == members[1:]
         with forbid_sockets():
-            sim_client, _ = make_pair(SimNetwork())
-            ReplyDemux(sim_client, group)  # no fileno: read on its own
-        assert list(group._members) == members[1:]
+            sim_client, sim_server = make_pair(SimNetwork())
+            sim = ReplyDemux(sim_client, group)  # either fabric joins
+        assert list(group._members) == [*members[1:], sim]
+        sim_client.close()
+        sim_server.close()
+
+
+class TestGroupReadsOverTcp(TestGroupReads):
+    @pytest.fixture
+    def grouped(self):
+        opened, timers = [], []
+
+        def open_members(*delays):
+            group = DemuxGroup()
+            members = []
+            for delay in delays:
+                with Listener() as listener:
+                    client = connect(*listener.address)
+                    server = listener.accept(timeout=1.0)
+                opened.extend((client, server))
+                members.append((ReplyDemux(client, group),
+                                functools.partial(reply_after, delay,
+                                                  server)))
+            return members
+
+        def reply_after(delay, server, frame):
+            if delay:
+                timers.append(threading.Timer(delay, server.send,
+                                              args=(frame,)))
+                timers[-1].start()
+            else:
+                server.send(frame)
+
+        yield open_members
+        for timer in timers:
+            timer.join()
+        for endpoint in opened:
+            endpoint.close()
 
 
 class TestVirtualTime:

@@ -4,16 +4,18 @@ policy — the distributed behaviours all exercised deterministically on
 the simulated fabric (no real sockets)."""
 
 import threading
+import time
 
 import numpy as np
 import pytest
 
+from repro.comm import demux
 from repro.core.inference import TeamInference
 from repro.distributed import (CircuitBreaker, DegradationPolicy,
                                LatencyTracker, QuorumError, ResilienceConfig,
                                SuspicionTracker, TeamNetMaster, WorkerFailure)
 from repro.edge import resilience_table
-from repro.nn import MLP
+from repro.nn import MLP, Module
 from repro.testkit import FaultSchedule, LinkFaults, SimCluster, forbid_sockets
 from repro.testkit.faults import REPLY
 
@@ -24,6 +26,19 @@ def make_team(k=4, in_dim=6, classes=5, seed=0):
                    rng=np.random.default_rng((seed, i))) for i in range(k)]
     x = rng.standard_normal((3, in_dim))
     return experts, x
+
+
+class SlowForward(Module):
+    """An expert whose forward sleeps first: a straggler in real time."""
+
+    def __init__(self, inner: Module, delay_s: float):
+        super().__init__()
+        self.inner = inner
+        self.delay_s = delay_s
+
+    def forward(self, x):
+        time.sleep(self.delay_s)
+        return self.inner(x)
 
 
 class FakeClock:
@@ -262,6 +277,40 @@ class TestHedgedGather:
                 [experts[i] for i in cluster.surviving_team])
             assert preds.tobytes() == reference.predict(x).tobytes()
             assert set(np.unique(winner)) <= set(cluster.surviving_team)
+
+    def test_straggler_waited_on_first_is_hedged(self, monkeypatch):
+        """The gather waits on peer 1, the straggler, first.  It polls
+        every peer while it waits, so peers 2 and 3 are read during that
+        wait; the straggler, whose forward outlasts the hedge delay in
+        real time too, is cut off at the delay."""
+        experts, x, schedule, resilience = straggler_setup(
+            hedge_floor_s=0.05)
+        experts[1] = SlowForward(experts[1], delay_s=0.3)
+        read_during = {}  # peer waited on -> peers its polls found ready
+        real_poll = demux._poll
+
+        def spy(held):
+            ready = real_poll(held)
+            index = {peer.channel: peer.index
+                     for peer in cluster.master._peers}
+            read_during.setdefault(index.get(held[0][0]), set()).update(
+                index.get(entry[0]) for entry in ready)
+            return ready
+
+        monkeypatch.setattr(demux, "_poll", spy)
+        with forbid_sockets(), \
+                SimCluster(experts, schedule, reply_timeout=5.0,
+                           resilience=resilience) as cluster:
+            for _ in range(2):
+                _, _, stats = cluster.infer(x)
+                assert not stats.hedged
+            read_during.clear()
+            preds, _, stats = cluster.infer(x)
+            assert stats.hedged_workers == [1]
+            assert stats.participants == 3
+            assert read_during == {1: {2, 3}}
+            reference = TeamInference([experts[i] for i in (0, 2, 3)])
+            assert preds.tobytes() == reference.predict(x).tobytes()
 
     def test_hedging_never_cuts_below_quorum(self):
         """If dropping the suspects would leave fewer than min_quorum

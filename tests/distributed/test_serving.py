@@ -424,6 +424,26 @@ class TestServeFuture:
         assert calls[0] == "before" and calls[-1] == "after"
 
 
+class TestCallbackFailures:
+    def test_a_raising_callback_is_counted_and_serving_goes_on(self):
+        experts, requests = team_and_requests(12, n_requests=2)
+        with forbid_sockets(), SimCluster(experts) as cluster:
+            server = TeamNetServer(cluster.master)
+            try:
+                future = server.submit(requests[0])
+                ran = []
+                future.add_done_callback(lambda f: 1 / 0)
+                future.add_done_callback(ran.append)
+                server.start()
+                future.result(timeout=3)
+                wait_for(lambda: ran == [future])
+                assert server.submit(requests[1]).result(timeout=3)
+                assert server._collector.is_alive()
+                assert server.stats().callback_errors == 1
+            finally:
+                server.close()
+
+
 class TestWakeRule:
     def test_an_arrival_ends_a_linger(self):
         experts, requests = team_and_requests(21, n_requests=2)

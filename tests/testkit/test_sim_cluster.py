@@ -1,6 +1,7 @@
 """The real TeamNet runtime over the simulated fabric: protocol
 equivalence, degradation, crash/rejoin — all in-process, all fast."""
 
+import os
 import time
 
 import numpy as np
@@ -10,7 +11,8 @@ from repro.core.inference import TeamInference
 from repro.distributed import DegradationPolicy
 from repro.distributed.teamnet_runtime import WorkerFailure
 from repro.nn import MLP
-from repro.testkit import FaultSchedule, LinkFaults, SimCluster, forbid_sockets
+from repro.testkit import (FaultSchedule, LinkFaults, SimCluster,
+                           SimFailoverCluster, forbid_sockets)
 from repro.testkit.faults import REPLY
 
 
@@ -153,3 +155,35 @@ class TestIsolation:
                 cluster.infer(x)
                 cluster.restart_worker(1)
                 cluster.infer(x)
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
+                        reason="needs /proc/self/fd")
+    def test_closing_returns_every_descriptor(self):
+        """The readiness pipes of polled sim endpoints are the fabric's
+        only OS resource: after a reconnect-heavy run, closing the
+        cluster closes every one of them."""
+        experts, x = make_team()
+        schedule = FaultSchedule(seed=0, reply=LinkFaults(drop=0.05))
+        answer_alone = DegradationPolicy(min_quorum=1)
+        before = len(os.listdir("/proc/self/fd"))
+        with forbid_sockets():
+            with SimCluster(experts, schedule, reply_timeout=0.5,
+                            degradation=answer_alone) as cluster:
+                for _ in range(100):
+                    cluster.infer(x)
+                assert cluster.network.connections_opened > len(experts)
+                assert len(os.listdir("/proc/self/fd")) > before
+            assert len(os.listdir("/proc/self/fd")) == before
+            with SimFailoverCluster(experts, schedule,
+                                    degradation=answer_alone) as cluster:
+                for _ in range(100):
+                    cluster.primary.infer(x)
+                cluster.kill_primary()
+                cluster.expire_lease()
+                cluster.standby.poll()
+                promoted = cluster.promote()
+                for _ in range(20):
+                    promoted.infer(x)
+                assert len(os.listdir("/proc/self/fd")) > before
+                assert cluster.network.connections_opened > 2 * len(experts)
+            assert len(os.listdir("/proc/self/fd")) == before

@@ -1,7 +1,9 @@
 """Tests for the simulated transport fabric: fault semantics, virtual
 time, determinism, and the no-real-sockets guard."""
 
+import select
 import socket
+import threading
 import time
 
 import pytest
@@ -181,6 +183,61 @@ class TestFaults:
         assert sa.recv(timeout=1.0) == b"x"       # untargeted link is clean
         with pytest.raises(TimeoutError):
             sb.recv(timeout=1.0)                   # targeted link drops
+
+
+def readable(endpoint):
+    return bool(select.select([endpoint.fileno()], [], [], 0)[0])
+
+
+class TestReadiness:
+    """``fileno`` polls readable exactly while ``recv`` would not wait
+    for the peer."""
+
+    def test_pipe_follows_the_queue(self):
+        _, client, server = make_pair()
+        assert not readable(client)
+        server.send(b"a")
+        server.send(b"b")
+        assert readable(client)
+        client.recv(timeout=1.0)
+        assert readable(client)
+        client.recv(timeout=1.0)
+        assert not readable(client)
+        assert server._pipe is None  # never polled, never piped
+
+    def test_tombstone_kill_and_peer_close_are_ready(self):
+        schedule = FaultSchedule(seed=0, reply=LinkFaults(drop=1.0))
+        _, client, server = make_pair(schedule)
+        assert not readable(client)
+        server.send(b"lost")
+        assert readable(client)
+        with pytest.raises(TimeoutError):
+            client.recv(timeout=1.0)
+        assert not readable(client)
+        server.close()
+        assert readable(client)
+        _, client, server = make_pair(FaultSchedule(
+            seed=0, reply=LinkFaults(kill_after=0)))
+        assert not readable(client)
+        server.send(b"never-arrives")
+        assert readable(client)
+        with pytest.raises(FrameError):
+            client.recv(timeout=1.0)
+        assert client.fileno() == -1  # the kill closed this end
+
+    def test_close_wakes_a_blocked_poll(self):
+        _, client, _ = make_pair()
+        poller = select.poll()
+        poller.register(client.fileno(), select.POLLIN)
+        timer = threading.Timer(0.05, client.close)
+        timer.start()
+        start = time.monotonic()
+        try:
+            assert poller.poll(5000)
+        finally:
+            timer.join()
+        assert time.monotonic() - start < 2.0
+        assert client.fileno() == -1
 
 
 class TestDeterminism:
