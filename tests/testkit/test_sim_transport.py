@@ -204,6 +204,9 @@ class TestReadiness:
         client.recv(timeout=1.0)
         assert not readable(client)
         assert server._pipe is None  # never polled, never piped
+        client.close()
+        server.close()
+        assert client._pipe is None
 
     def test_tombstone_kill_and_peer_close_are_ready(self):
         schedule = FaultSchedule(seed=0, reply=LinkFaults(drop=1.0))
@@ -216,6 +219,7 @@ class TestReadiness:
         assert not readable(client)
         server.close()
         assert readable(client)
+        client.close()
         _, client, server = make_pair(FaultSchedule(
             seed=0, reply=LinkFaults(kill_after=0)))
         assert not readable(client)
@@ -224,6 +228,9 @@ class TestReadiness:
         with pytest.raises(FrameError):
             client.recv(timeout=1.0)
         assert client.fileno() == -1  # the kill closed this end
+        client.close()  # ... and its owner's close closes the pipe
+        server.close()
+        assert client._pipe is None
 
     def test_close_wakes_a_blocked_poll(self):
         _, client, _ = make_pair()
